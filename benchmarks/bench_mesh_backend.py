@@ -9,8 +9,9 @@ benchmark measures what that buys and writes ``BENCH_mesh.json``:
 
 - *idle-heavy*: the 4x2 UDP echo design paced at 10% line rate.  The
   mesh is quiescent most of the time, so both backends ride the
-  activity-scheduled kernel's idle skipping and run near parity; the
-  row guards against the flat backend taxing the idle path.
+  kernel's whole-design idle skip; the flat core also skips idle
+  routers inside its step, which the object mesh cannot.  The row
+  guards against the flat backend taxing the idle path.
 - *saturating*: the section VII-I scaled echo design (22 application
   tiles on the paper's 7x4 U200 floorplan) under back-to-back
   MTU-sized requests.  ~115 schedulable components collapse into one
@@ -19,9 +20,9 @@ benchmark measures what that buys and writes ``BENCH_mesh.json``:
 - *tiles saturating*: the tile-engine axis — ``tile_backend="flat"``
   vs ``"object"`` with the mesh held flat on both sides.  A 12x10
   scaled echo (114 application tiles) under back-to-back MTU-sized
-  requests, on the *naive* kernel so the kernel treats both engines
-  identically (step everything, every cycle) and the measured gap is
-  the tile engine's alone: the object engine pays one Python
+  requests: nothing is ever idle, so the kernel steps everything
+  every cycle on both sides and the measured gap is the tile
+  engine's alone: the object engine pays one Python
   ``Tile.step`` dispatch per tile per cycle while
   :class:`~repro.tiles.flatcore.FlatTileCore` batch-steps the busy
   subset from one loop.  The advantage grows with tile count, which
@@ -61,8 +62,7 @@ REPS = 2                         # best-of-N wall clock per config
 
 # Tile-engine axis operating point: big enough that per-tile Python
 # dispatch dominates the object engine (the flat engine's win scales
-# with tile count), on the naive kernel so scheduling treats both
-# engines identically.  Best-of-3 because the ratio floor is tight.
+# with tile count).  Best-of-3 because the ratio floor is tight.
 TILE_APPS = 162
 TILE_WIDTH = 14
 TILE_HEIGHT = 12
@@ -101,13 +101,12 @@ def _run_udp(backend: str, rate: float | None, cycles: int):
 
 def _run_scaled(backend: str, cycles: int, n_apps: int = 22,
                 width: int | None = None, height: int | None = None,
-                tile_backend: str = "object",
-                kernel: str = "scheduled"):
+                tile_backend: str = "object"):
     """Saturating operating point: the section VII-I scaled echo."""
     reset_id_counters()
     design = ScaledEchoDesign(n_apps=n_apps, mesh_backend=backend,
                               width=width, height=height,
-                              tile_backend=tile_backend, kernel=kernel)
+                              tile_backend=tile_backend)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     frames = [build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
                                    CLIENT_IP, design.server_ip,
@@ -125,10 +124,9 @@ def _run_scaled(backend: str, cycles: int, n_apps: int = 22,
 
 
 def _run_tiles(tile_backend: str, cycles: int):
-    """Tile-engine axis: mesh held flat, naive kernel on both sides."""
+    """Tile-engine axis: mesh held flat on both sides."""
     return _run_scaled("flat", cycles, TILE_APPS, TILE_WIDTH,
-                       TILE_HEIGHT, tile_backend=tile_backend,
-                       kernel="naive")
+                       TILE_HEIGHT, tile_backend=tile_backend)
 
 
 def _measure(run, *args, reps: int = REPS) -> dict:
@@ -162,9 +160,9 @@ def run_mesh_backend() -> dict:
                cycles=SAT_CYCLES, rate_bytes_per_cycle=None)
     tiles = _measure(_run_tiles, SAT_CYCLES, reps=TILE_REPS)
     tiles.update(design=(f"ScaledEchoDesign {TILE_WIDTH}x{TILE_HEIGHT} "
-                         f"({TILE_APPS} apps), naive kernel"),
+                         f"({TILE_APPS} apps)"),
                  cycles=SAT_CYCLES, rate_bytes_per_cycle=None,
-                 mesh_backend="flat", kernel="naive")
+                 mesh_backend="flat")
 
     # 16x16 row: flat-only — the point is that the size is reachable.
     wall, frames = _run_scaled("flat", SWEEP_CYCLES, SWEEP_APPS, 16, 16)

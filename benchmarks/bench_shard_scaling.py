@@ -71,7 +71,7 @@ def _run(shards: int):
     """One run: (wall s, max shard busy s, exchange s, frames)."""
     reset_id_counters()
     design = ScaledEchoDesign(n_apps=N_APPS, width=WIDTH, height=HEIGHT,
-                              kernel="scheduled", mesh_backend="flat",
+                              mesh_backend="flat",
                               tile_backend="flat", shards=shards,
                               shard_bounds=BOUNDS.get(shards),
                               app_coords=APP_COORDS)

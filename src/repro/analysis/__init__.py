@@ -1,22 +1,22 @@
 """Pass-based static analysis of instantiated Beehive designs.
 
 The paper's design-time tooling (section V-G) rejects broken
-topologies before anything runs; the activity-scheduled kernel (PR 2)
-added a second class of statically-checkable failure — lost-wakeup
-stalls.  This package is one finding pipeline for both:
+topologies before anything runs; the simulation kernel's idle skip
+adds a contract of its own.  This package is one finding pipeline for
+both:
 
 - :mod:`repro.analysis.structural` — topology soundness (BHV1xx);
 - :mod:`repro.analysis.deadlock` — channel-dependency deadlock over
   the *real* routing state: declared chains plus chains derived from
   the next-hop tables (BHV2xx);
-- :mod:`repro.analysis.wake` — quiescence/wake contract verification
-  against the scheduled kernel (BHV3xx);
+- :mod:`repro.analysis.wake` — quiescence-contract verification
+  (BHV3xx);
 - :mod:`repro.analysis.dataflow` — destination-domain declarations vs
   the runtime routing state, covering data-dependent routing (BHV5xx).
 
 A separate *dynamic* family, :mod:`repro.analysis.sanitize`, runs
-bounded instrumented simulations (BHV4xx: idle-truthfulness, lost
-wakeups, flit conservation, determinism) through the same finding
+bounded instrumented simulations (BHV4xx: idle-truthfulness, flit
+conservation, determinism) through the same finding
 pipeline — see :func:`repro.analysis.sanitize.analyze_dynamic` and
 ``python -m repro.tools.lint --sanitize``.
 

@@ -1,21 +1,12 @@
 """Seeded-bug designs for demonstrating (and testing) the linter.
 
-:func:`build_broken_wake_design` is the canonical lost-wakeup example:
-an echo tile whose ``wake_sources()`` deliberately returns nothing.
-Under the naive kernel the design works — every component is stepped
-every cycle, so the missing hook is invisible.  Under the scheduled
-kernel the tile idles out before traffic arrives and nothing ever
-wakes it, so the same design stalls forever.  The wake-contract pass
-flags exactly this divergence as BHV301 *before* anything runs.
-
-The remaining builders each seed exactly one bug for one finding code,
-so the linter's regression tests can assert "this pass catches this
-bug, and no other pass misfires on it":
+Each builder seeds exactly one bug for one finding code, so the
+linter's regression tests can assert "this pass catches this bug, and
+no other pass misfires on it":
 
 ==============================  ======  ==================================
 builder                         code    seeded bug
 ==============================  ======  ==================================
-build_broken_wake_design        BHV301  wake_sources() misses the FIFO
 build_idle_liar_design          BHV401  is_idle() lies while work remains
 build_leaky_eject_design        BHV403  pops the eject FIFO off the books
 build_step_parity_design        BHV404  behaviour depends on step count
@@ -24,9 +15,6 @@ build_stale_domain_design       BHV502  domain wider than the replicas
 build_escaped_domain_design     BHV503  replicas outside the domain
 build_blind_forwarder_design    BHV504  forwarding with no declarations
 ==============================  ======  ==================================
-
-(BHV402 needs no dedicated fixture: the broken-wake design is also the
-canonical *dynamic* lost wakeup — the staged push its consumer misses.)
 """
 
 from __future__ import annotations
@@ -36,47 +24,6 @@ from repro.noc.message import NocMessage
 from repro.sim.kernel import CycleSimulator
 from repro.tiles.base import DestDomain, Tile
 from repro.tiles.scheduler import RoundRobinSchedulerTile
-
-
-class BrokenWakeEchoTile(Tile):
-    """Counts messages; its FIFO wake hook is deliberately missing."""
-
-    def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
-                 **kwargs: object) -> None:
-        super().__init__(name, mesh, coord, **kwargs)
-        self.echoed = 0
-
-    def wake_sources(self) -> tuple:
-        return ()  # BUG: the ejection FIFO never wakes the tile
-
-    def handle_message(self, message: NocMessage,
-                       cycle: int) -> list[NocMessage]:
-        self.echoed += 1
-        return []
-
-
-class BrokenWakeDesign:
-    """A 2x1 mesh: an ingress port feeding one broken echo tile."""
-
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
-        self.mesh = Mesh(2, 1)
-        self.echo = BrokenWakeEchoTile("echo", self.mesh, (1, 0))
-        self.ingress = self.mesh.attach((0, 0))
-        self.tiles = [self.echo]
-        self.mesh.register(self.sim)
-        self.sim.add(self.echo)
-        self.chains = [["ingress", "echo"]]
-        self.tile_coords = {"ingress": (0, 0), "echo": (1, 0)}
-
-    def send(self, data: bytes = b"ping") -> None:
-        self.ingress.send(NocMessage(dst=self.echo.coord,
-                                     src=self.ingress.coord,
-                                     data=data))
-
-
-def build_broken_wake_design(kernel: str = "scheduled") -> BrokenWakeDesign:
-    return BrokenWakeDesign(kernel=kernel)
 
 
 # -- shared fixture scaffolding ---------------------------------------------
@@ -100,9 +47,10 @@ class CountingSinkTile(Tile):
 class IdleLiarTile(Tile):
     """Holds a private work list its ``is_idle()`` pretends not to have.
 
-    The scheduled kernel prunes it immediately; the idle-truth pass
-    shadow-steps it and watches ``echoed`` advance — observable
-    progress from a component that swore it was quiescent.
+    With every component idle from cycle 0, each cycle is one the
+    kernel would skip; the idle-truth pass shadow-steps the tile there
+    and watches ``echoed`` advance — observable progress from a
+    component that swore it was quiescent.
     """
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
@@ -126,8 +74,8 @@ class IdleLiarTile(Tile):
 class IdleLiarDesign:
     """A 2x1 mesh holding one lying tile; no traffic needed."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self) -> None:
+        self.sim = CycleSimulator()
         self.mesh = Mesh(2, 1)
         self.liar = IdleLiarTile("liar", self.mesh, (1, 0))
         self.tiles = [self.liar]
@@ -137,8 +85,8 @@ class IdleLiarDesign:
         self.tile_coords = {"liar": (1, 0)}
 
 
-def build_idle_liar_design(kernel: str = "scheduled") -> IdleLiarDesign:
-    return IdleLiarDesign(kernel=kernel)
+def build_idle_liar_design() -> IdleLiarDesign:
+    return IdleLiarDesign()
 
 
 # -- BHV403: flits popped off the books -------------------------------------
@@ -172,8 +120,8 @@ class LeakyEjectTile(Tile):
 class LeakyEjectDesign:
     """A 2x1 mesh: an ingress port feeding the leaky tile."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self) -> None:
+        self.sim = CycleSimulator()
         self.mesh = Mesh(2, 1)
         self.leaky = LeakyEjectTile("leaky", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -189,8 +137,8 @@ class LeakyEjectDesign:
                                      data=data))
 
 
-def build_leaky_eject_design(kernel: str = "scheduled") -> LeakyEjectDesign:
-    return LeakyEjectDesign(kernel=kernel)
+def build_leaky_eject_design() -> LeakyEjectDesign:
+    return LeakyEjectDesign()
 
 
 # -- BHV404: behaviour keyed to step count ----------------------------------
@@ -199,9 +147,9 @@ class StepParityTile(Tile):
     """Echoes or drops depending on how often it has been stepped.
 
     ``steps_seen`` advances once per ``step`` call — which is every
-    cycle under the naive kernel but only on active cycles under the
-    scheduled one, so identical traffic produces different echo/drop
-    streams.  ``is_idle()`` is *honest* (the base queue checks, minus
+    cycle in a ticked run but only on non-skipped cycles when ``run``
+    jumps idle stretches, so identical traffic produces different
+    echo/drop streams.  ``is_idle()`` is *honest* (the base queue checks, minus
     the on_cycle guard), so the idle-truth pass stays silent: this is
     the bug class only the determinism pass can see.
     """
@@ -229,9 +177,9 @@ class StepParityTile(Tile):
 
     def handle_message(self, message: NocMessage,
                        cycle: int) -> list[NocMessage]:
-        # Under the naive kernel steps_seen tracks the cycle count, so
-        # this echoes; under the scheduled kernel the tile slept most
-        # of its life, so the same message is dropped.
+        # In a ticked run steps_seen tracks the cycle count, so this
+        # echoes; when idle stretches are skipped the tile missed most
+        # of its steps, so the same message is dropped.
         if self.steps_seen < cycle // 2:
             return self.drop(message, "stepped too rarely")
         self.echoed += 1
@@ -241,8 +189,8 @@ class StepParityTile(Tile):
 class StepParityDesign:
     """A 2x1 mesh: an ingress port feeding the parity tile."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self) -> None:
+        self.sim = CycleSimulator()
         self.mesh = Mesh(2, 1)
         self.parity = StepParityTile("parity", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -258,8 +206,8 @@ class StepParityDesign:
                                      data=data))
 
 
-def build_step_parity_design(kernel: str = "scheduled") -> StepParityDesign:
-    return StepParityDesign(kernel=kernel)
+def build_step_parity_design() -> StepParityDesign:
+    return StepParityDesign()
 
 
 # -- BHV501/502/503: destination-domain declarations vs reality --------------
@@ -309,9 +257,8 @@ class _DomainFixtureDesign:
     well-behaved sink tiles; (2, 1) stays unoccupied."""
 
     def __init__(self, dispatcher_cls: type,
-                 kernel: str = "scheduled",
                  **dispatcher_kwargs: object) -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+        self.sim = CycleSimulator()
         self.mesh = Mesh(3, 2)
         self.dispatch = dispatcher_cls("dispatch", self.mesh, (1, 0),
                                        **dispatcher_kwargs)
@@ -333,26 +280,21 @@ class _DomainFixtureDesign:
                                      data=data))
 
 
-def build_phantom_dest_design(
-        kernel: str = "scheduled") -> _DomainFixtureDesign:
+def build_phantom_dest_design() -> _DomainFixtureDesign:
     """BHV501: the declared domain names the unoccupied (2, 1)."""
-    return _DomainFixtureDesign(PhantomDomainTile, kernel=kernel,
-                                phantom=(2, 1))
+    return _DomainFixtureDesign(PhantomDomainTile, phantom=(2, 1))
 
 
-def build_stale_domain_design(
-        kernel: str = "scheduled") -> _DomainFixtureDesign:
+def build_stale_domain_design() -> _DomainFixtureDesign:
     """BHV502: sink_b is declared but only sink_a is a replica."""
-    design = _DomainFixtureDesign(StaleDomainScheduler, kernel=kernel,
-                                  stale=(1, 1))
+    design = _DomainFixtureDesign(StaleDomainScheduler, stale=(1, 1))
     design.dispatch.add_replica(design.sink_a.coord)
     return design
 
 
-def build_escaped_domain_design(
-        kernel: str = "scheduled") -> _DomainFixtureDesign:
+def build_escaped_domain_design() -> _DomainFixtureDesign:
     """BHV503: both sinks are replicas but only sink_a is declared."""
-    design = _DomainFixtureDesign(EscapedDomainScheduler, kernel=kernel)
+    design = _DomainFixtureDesign(EscapedDomainScheduler)
     design.dispatch.add_replica(design.sink_a.coord)
     design.dispatch.add_replica(design.sink_b.coord)
     return design
@@ -380,8 +322,8 @@ class BlindForwarderDesign:
     """A 3x1 mesh: the forwarder is non-terminal in a declared chain,
     so its statically-invisible routing is the linter's blind spot."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self) -> None:
+        self.sim = CycleSimulator()
         self.mesh = Mesh(3, 1)
         self.sink = CountingSinkTile("sink", self.mesh, (2, 0))
         self.fwd = BlindForwarderTile("fwd", self.mesh, (1, 0),
@@ -401,6 +343,5 @@ class BlindForwarderDesign:
                                      data=data))
 
 
-def build_blind_forwarder_design(
-        kernel: str = "scheduled") -> BlindForwarderDesign:
-    return BlindForwarderDesign(kernel=kernel)
+def build_blind_forwarder_design() -> BlindForwarderDesign:
+    return BlindForwarderDesign()

@@ -5,7 +5,7 @@ greps, suppressions, and documentation survive message rewording:
 
 - ``BHV1xx`` — topology / structural soundness,
 - ``BHV2xx`` — routing and channel-dependency deadlock,
-- ``BHV3xx`` — simulation-kernel (quiescence/wake) contract,
+- ``BHV3xx`` — simulation-kernel quiescence contract,
 - ``BHV4xx`` — dynamic sanitizer findings from bounded instrumented
   runs (:mod:`repro.analysis.sanitize`),
 - ``BHV5xx`` — data-flow routing: declared destination domains vs the
@@ -61,30 +61,24 @@ CODES: dict[str, tuple[str, str]] = {
     "BHV204": (INFO, "path enumeration truncated (design too large for "
                      "exhaustive analysis)"),
     "BHV205": (ERROR, "next-hop entry routes a tile to itself"),
-    # -- BHV3xx: kernel / wake contract --------------------------------
-    "BHV301": (ERROR, "component can idle-sleep but consumes a FIFO "
-                      "with no wake hook (lost-wakeup stall)"),
-    "BHV302": (ERROR, "component can idle-sleep but has no wake "
-                      "mechanism at all"),
+    # -- BHV3xx: kernel quiescence contract ----------------------------
     "BHV303": (WARNING, "next_event_cycle() implemented without "
                         "is_idle() (the timer is never consulted)"),
     "BHV304": (WARNING, "quiescence probe misbehaved (is_idle / "
                         "next_event_cycle raised or returned a wrong "
                         "type)"),
     "BHV305": (INFO, "component has no quiescence contract; it is "
-                     "stepped every cycle (naive-kernel behaviour)"),
-    "BHV306": (WARNING, "declared wake source is not wired to wake "
-                        "this component"),
+                     "never idle, so its design never skips idle "
+                     "cycles"),
     # -- BHV4xx: dynamic sanitizer (bounded instrumented runs) ---------
-    "BHV401": (ERROR, "idle-truthfulness violation: a component the "
-                      "scheduled kernel pruned made observable "
-                      "progress when shadow-stepped"),
-    "BHV402": (ERROR, "lost wakeup: a push into a FIFO whose consumer "
-                      "is pruned and not woken in the same cycle"),
+    "BHV401": (ERROR, "idle-truthfulness violation: a component made "
+                      "observable progress when shadow-stepped at a "
+                      "cycle the kernel would skip"),
     "BHV403": (ERROR, "flit conservation violated: injected flits != "
                       "ejected + in-flight (unattributed loss)"),
-    "BHV404": (ERROR, "non-determinism: two kernel x backend combos "
-                      "diverged under identical traffic"),
+    "BHV404": (ERROR, "non-determinism: two backend combos, or a "
+                      "ticked and a skipping run, diverged under "
+                      "identical traffic"),
     # -- BHV5xx: data-flow routing (destination domains) ---------------
     "BHV501": (ERROR, "declared destination-domain coordinate has no "
                       "tile attached (data-dependent dispatch to it "

@@ -125,9 +125,8 @@ class DesignModel:
         that are not themselves in the simulator (the flat mesh core
         steps every local port, for example) and declares them through
         a ``kernel_substeps()`` hook.  The analysis passes treat a
-        substep as registered-by-proxy: its parent's schedule entry is
-        its schedule entry, and its parent's wake hooks are the ones
-        that must cover its inputs.
+        substep as registered-by-proxy: its parent's step is its
+        step.
         """
         hook = getattr(component, "kernel_substeps", None)
         if not callable(hook):
@@ -150,7 +149,7 @@ class DesignModel:
         Discovered structurally from the known component shapes; a
         component may also expose ``lint_consumed_fifos()`` to declare
         its own.  Anything the model cannot classify contributes no
-        FIFOs (and therefore no wake-contract findings).
+        FIFOs.
         """
         hook = getattr(component, "lint_consumed_fifos", None)
         if callable(hook):

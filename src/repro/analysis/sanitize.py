@@ -7,25 +7,22 @@ executes — by running short, bounded, fully instrumented simulations
 and reporting through the same :class:`~repro.analysis.findings`
 pipeline:
 
-- **idle-truth** (BHV401): every component the scheduled kernel pruned
-  is *shadow-stepped* each cycle with a state fingerprint taken around
+- **idle-truth** (BHV401): at every cycle the kernel would skip
+  (every component reports ``is_idle()`` and no event is due), each
+  component is *shadow-stepped* with a state fingerprint taken around
   its own ``step``.  A truthfully idle component's step is a no-op by
-  the quiescence contract (the same property the kernel's saturation
-  bypass relies on); a fingerprint change means ``is_idle()`` lied.
-- **lost-wake** (BHV402): at the end of each step phase (staged pushes
-  still visible), a FIFO holding staged items whose consumer is pruned
-  with no same-cycle wake and no timer due by the next cycle is a lost
-  wakeup — the dynamic twin of the static BHV301 check, catching hooks
-  that exist but never fire.
+  the quiescence contract (the property the kernel's idle jump relies
+  on); a fingerprint change means ``is_idle()`` lied.
 - **conservation** (BHV403): a flit ledger per mesh.  Every flit a
   port injects must be ejected or still in flight (router input
   occupancy plus ejection-FIFO occupancy); the machinery that drops
   traffic does so outside the fabric (wire faults pre-injection, tile
   drops post-ejection), so any imbalance is unattributed loss.
 - **determinism** (BHV404): the same traffic is replayed, cycle by
-  cycle, under two kernel x mesh x tile combos; per-cycle digests of
-  the design counters localize the first divergent cycle, and the
-  final counters / egress frames are deep-compared.
+  cycle, under two mesh x tile combos — or, given one combo, once
+  ticked every cycle and once through ``run``'s idle skip; per-cycle
+  digests of the design counters localize the first divergent cycle,
+  and the final counters / egress frames are deep-compared.
 
 Everything here is strictly opt-in: the normal ``tick``/``run`` paths
 never consult the sanitizer, so a design that does not ask for it runs
@@ -54,8 +51,8 @@ from repro.noc.message import reset_id_counters
 from repro.sim.kernel import StagedFifo
 from repro.telemetry.stats import design_counters
 
-#: (kernel, mesh backend, tile backend).
-Combo = tuple[str, str, str]
+#: (mesh backend, tile backend).
+Combo = tuple[str, str]
 #: (fire cycle, zero-argument thunk).
 Action = tuple[int, Callable[[], None]]
 #: (design, cycles) -> actions.
@@ -66,34 +63,29 @@ TrafficFn = Callable[[object, int], list[Action]]
 #: fleet in CI.
 DEFAULT_CYCLES = 2000
 
-#: Default combos a design is sanitized under: the scheduled kernel
-#: over both compiled backends (the configurations users actually run).
+#: Default combos a design is sanitized under: both compiled backends
+#: (the configurations users actually run).
 DEFAULT_COMBOS: tuple[Combo, ...] = (
-    ("scheduled", "flat", "flat"),
-    ("scheduled", "object", "object"),
+    ("flat", "flat"),
+    ("object", "object"),
 )
-
-#: The reference combo the determinism pass falls back to when fewer
-#: than two combos are given: the exhaustive kernel over the
-#: object-for-object backends.
-NAIVE_REFERENCE: Combo = ("naive", "object", "object")
 
 #: name -> one-line description, mirroring the static PASSES registry.
 SANITIZE_PASSES: dict[str, str] = {
-    "idle-truth": "shadow-step pruned components; any observable "
-                  "progress is an is_idle() lie (BHV401)",
-    "lost-wake": "staged push into a FIFO whose consumer stays pruned "
-                 "with no same-cycle wake (BHV402)",
+    "idle-truth": "shadow-step every component at cycles the kernel "
+                  "would skip; any observable progress is an "
+                  "is_idle() lie (BHV401)",
     "conservation": "flit ledger: injected == ejected + in-flight per "
                     "mesh (BHV403)",
-    "determinism": "dual-run digest across two kernel x backend "
-                   "combos, localizing the first divergence (BHV404)",
+    "determinism": "dual-run digest across two backend combos (or "
+                   "ticked vs idle-skipping runs), localizing the "
+                   "first divergence (BHV404)",
 }
 
 # Counter attributes a component (or its port / substeps) may expose;
 # integers sampled into the shadow-step fingerprint.  Deliberately a
 # closed list: fixture-private counters (a demo tile's step tally) are
-# *not* observable state, so incrementing one while pruned is legal.
+# *not* observable state, so incrementing one while idle is legal.
 _COUNTER_ATTRS: tuple[str, ...] = (
     "messages_in", "messages_out", "bytes_in", "bytes_out", "drops",
     "messages_sent", "messages_received", "flits_injected",
@@ -129,15 +121,14 @@ def build_design(factory: Callable[..., object],
     """Instantiate ``factory`` under ``combo``, dropping unsupported
     keyword arguments.
 
-    Shipped designs accept the full ``kernel`` / ``mesh_backend`` /
+    Shipped designs accept the full ``mesh_backend`` /
     ``tile_backend`` / ``fault_plan`` set; demo and fixture designs
-    often take only ``kernel``.  Unknown-keyword ``TypeError``\\ s are
-    retried without the rejected kwarg so one driver covers both.
+    take none of them.  Unknown-keyword ``TypeError``\\ s are retried
+    without the rejected kwarg so one driver covers both.
     """
     kwargs: dict[str, object] = {}
     if combo is not None:
-        kernel, mesh_backend, tile_backend = combo
-        kwargs["kernel"] = kernel
+        mesh_backend, tile_backend = combo
         kwargs["mesh_backend"] = mesh_backend
         kwargs["tile_backend"] = tile_backend
     if fault_plan is not None:
@@ -233,42 +224,18 @@ class SanitizeObserver:
     """The per-run instrumentation behind
     :meth:`repro.sim.kernel.CycleSimulator.sanitized_tick`.
 
-    ``shadow_step`` owns stepping every pruned component (the kernel
-    hands them over instead of stepping them) and, when the idle-truth
-    pass is selected, fingerprints observable state around the step.
-    ``step_phase_done`` runs the lost-wake check while staged pushes
-    are still distinguishable from committed items.
+    ``shadow_step`` owns stepping every component at a cycle the kernel
+    would skip (the kernel hands them over instead of stepping them)
+    and fingerprints observable state around each step.
     """
 
-    def __init__(self, design: object, model: DesignModel,
-                 passes: Iterable[str], combo: Combo) -> None:
-        self.sim = design.sim
+    def __init__(self, model: DesignModel, combo: Combo) -> None:
         self.model = model
         self.combo = combo
-        selected = set(passes)
-        scheduled = getattr(self.sim, "kernel", "naive") == "scheduled"
-        self.check_idle = "idle-truth" in selected and scheduled
-        self.check_wake = "lost-wake" in selected and scheduled
         self.findings: list[Finding] = []
-        self._reported_401: set[int] = set()
-        self._reported_402: set[tuple[int, int]] = set()
+        self._reported: set[int] = set()
         # id(component) -> [(probe, label), ...]
         self._plans: dict[int, list[tuple[Callable[[], object], str]]] = {}
-        # (component, name, consumed StagedFifos) for the wake check.
-        self._consumers: list[tuple[object, str, list[StagedFifo]]] = []
-        if self.check_wake:
-            for component in model.components():
-                fifos: list[StagedFifo] = []
-                pool = [component]
-                pool.extend(model.substeps(component))
-                for member in pool:
-                    for fifo in model.consumed_fifos(member):
-                        if isinstance(fifo, StagedFifo) and \
-                                all(f is not fifo for f in fifos):
-                            fifos.append(fifo)
-                if fifos:
-                    self._consumers.append(
-                        (component, _component_name(component), fifos))
 
     # -- fingerprinting ----------------------------------------------------
 
@@ -300,11 +267,7 @@ class SanitizeObserver:
                     plan.append((
                         lambda o=obj, a=attr: len(getattr(o, a)),
                         f"len({oname}.{attr})"))
-            fifos: list[object] = list(self.model.consumed_fifos(obj))
-            sources = getattr(obj, "wake_sources", None)
-            if callable(sources):
-                fifos.extend(sources())
-            for fifo in fifos:
+            for fifo in self.model.consumed_fifos(obj):
                 if any(f is fifo for f in fifos_seen):
                     continue
                 fifos_seen.append(fifo)
@@ -319,10 +282,10 @@ class SanitizeObserver:
                         f"fifo {fname}"))
         return plan
 
-    # -- sanitized_tick callbacks ------------------------------------------
+    # -- sanitized_tick callback -------------------------------------------
 
     def shadow_step(self, component: object, cycle: int) -> None:
-        if not self.check_idle or id(component) in self._reported_401:
+        if id(component) in self._reported:
             component.step(cycle)
             return
         plan = self._plans.get(id(component))
@@ -335,62 +298,30 @@ class SanitizeObserver:
             return
         changed = [label for (_, label), b, a in zip(plan, before, after)
                    if b != a]
-        self._reported_401.add(id(component))
+        self._reported.add(id(component))
         name = _component_name(component)
         self.findings.append(Finding(
             "BHV401",
-            f"pruned component made observable progress when "
-            f"shadow-stepped at cycle {cycle} "
+            f"component reported idle but made observable progress "
+            f"when shadow-stepped at cycle {cycle} "
             f"(changed: {', '.join(changed[:4])})"
             f"{' ...' if len(changed) > 4 else ''} "
             f"[{_combo_label(self.combo)}]",
             location=name,
             hint="is_idle() reported quiescence while work remained — "
-                 "fix is_idle()/next_event_cycle() or wire the missing "
-                 "wake source",
+                 "fix is_idle()/next_event_cycle()",
             data={"cycle": cycle, "changed": changed,
                   "combo": _combo_label(self.combo)}))
 
-    def step_phase_done(self, cycle: int) -> None:
-        if not self.check_wake:
-            return
-        active = self.sim._active
-        armed = self.sim._armed
-        for component, name, fifos in self._consumers:
-            if component in active:
-                continue
-            for fifo in fifos:
-                if not fifo._staged:
-                    continue
-                key = (id(component), id(fifo))
-                if key in self._reported_402:
-                    continue
-                deadline = armed.get(component)
-                if deadline is not None and deadline <= cycle + 1:
-                    continue  # a timer wakes it in time; nothing lost
-                self._reported_402.add(key)
-                self.findings.append(Finding(
-                    "BHV402",
-                    f"push into {fifo.name!r} staged at cycle {cycle} "
-                    f"but its consumer {name!r} is pruned, was not "
-                    f"woken this cycle, and has no timer due by cycle "
-                    f"{cycle + 1} [{_combo_label(self.combo)}]",
-                    location=name,
-                    hint="the producer's push must reach a wake hook "
-                         "for this consumer: check wake_sources() "
-                         "covers the FIFO",
-                    data={"cycle": cycle, "fifo": fifo.name,
-                          "combo": _combo_label(self.combo)}))
-
-    def cycle_done(self, cycle: int) -> None:
-        pass
-
 
 def _drive(design: object, actions: Sequence[Action], cycles: int,
-           observer: SanitizeObserver | None) -> None:
-    """Tick ``design`` to ``cycles``, firing traffic actions on their
-    cycles.  Always plain per-cycle ticks (never ``run``): idle-skip
-    would make runs incomparable and starve the shadow checks."""
+           observer: SanitizeObserver | None = None,
+           skip: bool = False, on_cycle: Callable[[], None] | None = None,
+           ) -> None:
+    """Clock ``design`` to ``cycles``, firing traffic actions on their
+    cycles.  Per-cycle ticks by default; ``skip`` advances through
+    ``run(1)`` instead, so the kernel's idle jump decides whether each
+    cycle is stepped.  ``on_cycle`` runs after every cycle."""
     sim = design.sim
     ordered = sorted(actions, key=lambda action: action[0])
     index = 0
@@ -399,10 +330,14 @@ def _drive(design: object, actions: Sequence[Action], cycles: int,
         while index < total and ordered[index][0] <= sim.cycle:
             ordered[index][1]()
             index += 1
-        if observer is None:
-            sim.tick()
-        else:
+        if observer is not None:
             sim.sanitized_tick(observer)
+        elif skip:
+            sim.run(1)
+        else:
+            sim.tick()
+        if on_cycle is not None:
+            on_cycle()
 
 
 # -- BHV403: flit conservation ---------------------------------------------
@@ -492,23 +427,26 @@ def _cycle_digest(design: object) -> int:
     return zlib.crc32(",".join(map(str, parts)).encode())
 
 
+#: One determinism run: a combo and whether ``run``'s idle skip drives
+#: it (False: ticked every cycle).
+Run = tuple[Combo, bool]
+
+
+def _run_label(run: Run) -> str:
+    combo, skip = run
+    return f"{_combo_label(combo)} ({'idle-skip' if skip else 'ticked'})"
+
+
 def _determinism_run(
-        factory: Callable[..., object], combo: Combo,
+        factory: Callable[..., object], run: Run,
         fault_plan: object | None, traffic: TrafficFn, cycles: int,
 ) -> tuple[list[int], dict, list | None]:
+    combo, skip = run
     reset_id_counters()
     design = build_design(factory, combo, fault_plan)
-    actions = sorted(traffic(design, cycles), key=lambda a: a[0])
-    sim = design.sim
     digests: list[int] = []
-    index = 0
-    total = len(actions)
-    while sim.cycle < cycles:
-        while index < total and actions[index][0] <= sim.cycle:
-            actions[index][1]()
-            index += 1
-        sim.tick()
-        digests.append(_cycle_digest(design))
+    _drive(design, traffic(design, cycles), cycles, skip=skip,
+           on_cycle=lambda: digests.append(_cycle_digest(design)))
     counters = design_counters(design)
     counters.pop("backends", None)  # the one *expected* difference
     eth_tx = getattr(design, "eth_tx", None)
@@ -518,12 +456,12 @@ def _determinism_run(
 
 
 def _determinism_findings(
-        factory: Callable[..., object], pair: tuple[Combo, Combo],
+        factory: Callable[..., object], pair: tuple[Run, Run],
         fault_plan: object | None, traffic: TrafficFn, cycles: int,
         target: str,
 ) -> list[Finding]:
-    runs = [_determinism_run(factory, combo, fault_plan, traffic, cycles)
-            for combo in pair]
+    runs = [_determinism_run(factory, run, fault_plan, traffic, cycles)
+            for run in pair]
     (digests_a, counters_a, frames_a) = runs[0]
     (digests_b, counters_b, frames_b) = runs[1]
     if (digests_a == digests_b and counters_a == counters_b
@@ -539,15 +477,15 @@ def _determinism_findings(
     detail = f"; differing counters: {', '.join(keys)}" if keys else ""
     if frames_a != frames_b:
         detail += "; egress frame streams differ"
-    labels = f"{_combo_label(pair[0])} vs {_combo_label(pair[1])}"
+    labels = f"{_run_label(pair[0])} vs {_run_label(pair[1])}"
     return [Finding(
         "BHV404",
         f"identical traffic diverged under {labels}: {where}{detail}",
         location=target,
         hint="per-cycle observable state must be independent of the "
-             "kernel and backends; look for state advanced by step "
-             "count rather than by committed events",
-        data={"combos": [list(pair[0]), list(pair[1])],
+             "backends and of idle skipping; look for state advanced "
+             "by step count rather than by committed events",
+        data={"combos": [list(pair[0][0]), list(pair[1][0])],
               "first_divergent_cycle": divergent,
               "counter_keys": keys})]
 
@@ -571,6 +509,9 @@ def analyze_dynamic(
     :mod:`repro.faults` — the sanitizer invariants hold under fault
     injection, which is precisely when silent loss tends to appear.
 
+    The determinism pass compares the first two combos, both ticked
+    every cycle; given one combo, it compares that combo ticked
+    against the same combo driven through ``run``'s idle skip.
     Findings duplicated across combos are reported once (tagged with
     the first combo that saw them).
     """
@@ -591,25 +532,24 @@ def analyze_dynamic(
                              else traffic)
     report = AnalysisReport(
         target=name or getattr(factory, "__name__", "design"))
-    seen: set[tuple[str, str, str]] = set()
+    seen: set[tuple[str, str]] = set()
 
     def add(finding: Finding) -> None:
-        key = (finding.code, finding.location,
-               str(finding.data.get("fifo", "")))
+        key = (finding.code, finding.location)
         if key in seen:
             return
         seen.add(key)
         report.findings.append(finding)
 
-    observed = ("idle-truth" in selected) or ("lost-wake" in selected)
+    observed = "idle-truth" in selected
     if observed or "conservation" in selected:
         for combo in combo_list:
             reset_id_counters()
             design = build_design(factory, combo, fault_plan)
-            model = extract(design, name=report.target)
             actions = traffic_fn(design, cycles)
-            observer = (SanitizeObserver(design, model, selected, combo)
-                        if observed else None)
+            observer = (SanitizeObserver(
+                extract(design, name=report.target), combo)
+                if observed else None)
             _drive(design, actions, cycles, observer)
             if observer is not None:
                 for finding in observer.findings:
@@ -620,9 +560,9 @@ def analyze_dynamic(
 
     if "determinism" in selected:
         if len(combo_list) >= 2:
-            pair = (combo_list[0], combo_list[1])
+            pair = ((combo_list[0], False), (combo_list[1], False))
         else:
-            pair = (combo_list[0], NAIVE_REFERENCE)
+            pair = ((combo_list[0], False), (combo_list[0], True))
         for finding in _determinism_findings(
                 factory, pair, fault_plan, traffic_fn, cycles,
                 report.target):

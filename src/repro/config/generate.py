@@ -152,13 +152,11 @@ def register_tile_type(type_name: str, factory: Callable) -> None:
 class GeneratedDesign:
     """A design built from a :class:`DesignSpec`."""
 
-    def __init__(self, spec: DesignSpec, kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
+    def __init__(self, spec: DesignSpec, mesh_backend: str = "flat",
                  tile_backend: str = "flat"):
         self.spec = spec
         self.report = validate(spec)
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         self.mesh = build_mesh(spec.width, spec.height,
                                backend=mesh_backend)

@@ -26,10 +26,10 @@ from repro.control.messages import (
 )
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage
-from repro.sim.kernel import CycleSimulator, Wakeable
+from repro.sim.kernel import CycleSimulator
 
 
-class ControlEndpoint(Wakeable):
+class ControlEndpoint:
     """A tile's attachment to the control NoC (a clocked component)."""
 
     def __init__(self, plane: ControlPlane, coord: tuple[int, int],
@@ -103,11 +103,8 @@ class ControlEndpoint(Wakeable):
 
     # -- quiescence contract (see repro.sim.kernel) ----------------------------
 
-    def wake_sources(self):
-        return (self.port.eject_fifo,)
-
     def is_idle(self) -> bool:
-        """Control messages are rare; the endpoint sleeps whenever its
+        """Control messages are rare; the endpoint is idle whenever its
         ejection FIFO is empty."""
         fifo = self.port.eject_fifo
         return not fifo._items and not fifo._staged

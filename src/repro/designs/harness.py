@@ -15,10 +15,9 @@ from collections.abc import Callable
 
 from repro import params
 from repro.packet.builder import parse_frame
-from repro.sim.kernel import Wakeable
 
 
-class FrameSource(Wakeable):
+class FrameSource:
     """Paced frame injection (a clocked component).
 
     ``frame_factory(i)`` returns the i-th frame to send.  ``rate`` is
@@ -72,7 +71,7 @@ class FrameSource(Wakeable):
         blocked = (self.backlog is not None
                    and self.backlog() >= self.max_backlog)
         if blocked and self.overrun == "block":
-            # Polled until the backlog drains: nothing wakes a source.
+            # Polled until the backlog drains.
             self._blocked = True
             return
         self._blocked = False
@@ -105,14 +104,14 @@ class FrameSource(Wakeable):
 
     def is_idle(self) -> bool:
         """Pacing is timer-driven; only a backlog-blocked source needs
-        to poll (the backlog callable is opaque, so no wake exists)."""
+        to poll (the backlog callable is opaque)."""
         return self.done or not self._blocked
 
     def next_event_cycle(self) -> int | None:
         return None if self.done else self._next_free
 
 
-class FrameSink(Wakeable):
+class FrameSink:
     """Drains an Ethernet TX tile's MAC output (a clocked component)."""
 
     def __init__(self, eth_tx, keep_frames: bool = True):
@@ -125,9 +124,6 @@ class FrameSink(Wakeable):
         self.malformed = 0
         self.first_cycle: int | None = None
         self.last_cycle: int | None = None
-        listeners = getattr(eth_tx, "frame_listeners", None)
-        if listeners is not None:
-            listeners.append(self._wake)
 
     def step(self, cycle: int) -> None:
         while self.eth_tx.frames_out:
@@ -157,8 +153,8 @@ class FrameSink(Wakeable):
 
     def is_idle(self) -> bool:
         """Always idle between events: every recorded value derives
-        from a frame's emit cycle, so draining on the emit cycle (via
-        the timer) or on a wake from the TX tile loses nothing."""
+        from a frame's emit cycle, and ``next_event_cycle`` names the
+        earliest queued one, so draining then loses nothing."""
         return True
 
     def next_event_cycle(self) -> int | None:

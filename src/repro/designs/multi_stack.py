@@ -74,14 +74,12 @@ class MultiStackDesign:
 
     def __init__(self, stacks: int = 2, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = None,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None):
         if stacks < 1:
             raise ValueError("need at least one stack")
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         self.mesh = build_mesh(5, 2 * stacks, backend=mesh_backend)
         self.lb = FlowHashLoadBalancerTile("lb", self.mesh, (0, 0))

@@ -39,7 +39,6 @@ class RsDesign:
     def __init__(self, instances: int = 4, udp_port: int = 7000,
                  line_rate_bytes_per_cycle: float | None = 50.0,
                  rs_gbps: float = params.RS_TILE_GBPS,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None):
@@ -47,8 +46,7 @@ class RsDesign:
             raise ValueError("this layout hosts 1-4 RS instances")
         self.instances = instances
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         self.mesh = build_mesh(6, 2, backend=mesh_backend)
 

@@ -44,7 +44,6 @@ class ScaledEchoDesign:
 
     def __init__(self, n_apps: int = 22, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = None,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  width: int | None = None,
@@ -65,8 +64,7 @@ class ScaledEchoDesign:
             )
         self.n_apps = n_apps
         self.udp_port = udp_port
-        self.sim = make_simulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = make_simulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend,
                                   shards=shards,
                                   shard_transport=shard_transport)

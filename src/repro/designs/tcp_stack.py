@@ -46,14 +46,12 @@ class TcpServerDesign:
                  max_flows: int = 8,
                  mss: int = params.TCP_MSS_BYTES,
                  congestion_control: bool | str = False,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None,
                  **app_kwargs):
         self.tcp_port = tcp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         self.mesh = build_mesh(6, 2, backend=mesh_backend)
         self.flows = FlowTable(max_flows=max_flows)

@@ -36,15 +36,13 @@ class UdpEchoDesign:
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
                  app_tile_cls=UdpEchoAppTile,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None,
                  shards: int = 1,
                  shard_transport: str = "loopback"):
         self.udp_port = udp_port
-        self.sim = make_simulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = make_simulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend,
                                   shards=shards,
                                   shard_transport=shard_transport)
@@ -127,7 +125,6 @@ class LoggedUdpEchoDesign(UdpEchoDesign):
 
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None,
@@ -137,8 +134,7 @@ class LoggedUdpEchoDesign(UdpEchoDesign):
         from repro.tiles.logger import PacketLogTile
 
         self.udp_port = udp_port
-        self.sim = make_simulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = make_simulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend,
                                   shards=shards,
                                   shard_transport=shard_transport)

@@ -43,13 +43,11 @@ class NatEchoDesign:
 
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None):
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         self.mesh = build_mesh(5, 2, backend=mesh_backend)
         self.nat_table = NatTable()
@@ -122,13 +120,11 @@ class IpInIpEchoDesign:
 
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None):
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         self.mesh = build_mesh(6, 2, backend=mesh_backend)
 

@@ -46,7 +46,6 @@ class VrWitnessDesign:
     def __init__(self, shards: int = 4,
                  line_rate_bytes_per_cycle: float | None = 50.0,
                  duplicate_udp: bool = False,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None):
@@ -54,8 +53,7 @@ class VrWitnessDesign:
             raise ValueError("this layout hosts 1-4 witness shards")
         self.shards = shards
         self.duplicate_udp = duplicate_udp
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         width = 7 if duplicate_udp else 6
         self.mesh = build_mesh(width, 2, backend=mesh_backend)

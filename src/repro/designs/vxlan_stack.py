@@ -43,14 +43,12 @@ class VxlanEchoDesign:
 
     def __init__(self, vni: int = 7700, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
                  fault_plan=None):
         self.vni = vni
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
+        self.sim = CycleSimulator(mesh_backend=mesh_backend,
                                   tile_backend=tile_backend)
         self.mesh = build_mesh(8, 2, backend=mesh_backend)
 

@@ -25,8 +25,8 @@ import heapq
 from collections import Counter
 
 from repro.faults.plan import FaultPlan, WireFaultSpec
-from repro.sim.kernel import Wakeable
 from repro.sim.rng import SeededStreams
+from repro.telemetry.trace import iter_tiles
 
 
 def _corrupt_payload(data: bytes, rng, n_bytes: int) -> bytes:
@@ -40,7 +40,7 @@ def _corrupt_payload(data: bytes, rng, n_bytes: int) -> bytes:
     return bytes(out)
 
 
-class FaultyWire(Wakeable):
+class FaultyWire:
     """A lossy, reordering link between frame injection and the MAC.
 
     Frames offered through :meth:`inject` suffer the plan's wire
@@ -89,7 +89,6 @@ class FaultyWire(Wakeable):
     def _schedule(self, arrival: int, frame: bytes) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (arrival, self._seq, frame))
-        self._wake()
 
     # -- clocked behaviour --------------------------------------------------
 
@@ -144,13 +143,14 @@ class _EjectFault:
         return flit
 
 
-class FaultEngine(Wakeable):
+class FaultEngine:
     """The clocked owner of a design's fault schedule and counters.
 
     Registered after the design's own components, it applies due
     events during its ``step`` — so a fault landing "at cycle N"
-    becomes visible to tiles from cycle N+1, identically under every
-    kernel (timer wheel wakes it at exactly each event cycle).
+    becomes visible to tiles from cycle N+1, whether the run ticks
+    every cycle or jumps idle stretches (``next_event_cycle`` names
+    each event cycle).
     """
 
     #: Freezes/stalls/thaws touch tiles and ports across the whole
@@ -212,11 +212,9 @@ class FaultEngine(Wakeable):
 
     def _thaw(self, tile, cycle: int) -> None:
         tile._fault_frozen = False
-        # Kernel-wake-safe resume: a tile that slept through the whole
-        # window re-enters the active set and re-derives its timers.
-        # ``_wake`` routes through whatever hook owns the tile — the
-        # scheduled kernel's waker, a flat tile core's busy-bit setter,
-        # or nothing under the naive kernel (which steps everything).
+        # A flat tile core skipped the frozen tile's busy bit through
+        # the whole window; ``_wake`` sets it again so the tile
+        # re-derives its timers (a no-op outside a core).
         tile._wake()
         self.record("tile.thaw", target=tile.name)
 
@@ -271,13 +269,6 @@ class FaultEngine(Wakeable):
         return self._events[self._next][0]
 
 
-def _iter_tiles(design):
-    tiles = design.tiles
-    if isinstance(tiles, dict):
-        return list(tiles.values())
-    return list(tiles)
-
-
 def attach_faults(design, plan: FaultPlan | None):
     """Wire a :class:`FaultPlan` into an instantiated design.
 
@@ -298,7 +289,7 @@ def attach_faults(design, plan: FaultPlan | None):
     streams = SeededStreams(plan.seed)
     engine = FaultEngine(design, plan)
 
-    tiles = {tile.name: tile for tile in _iter_tiles(design)}
+    tiles = {tile.name: tile for tile in iter_tiles(design)}
     for kind, name, at, duration in plan.tile_events:
         tile = tiles.get(name)
         if tile is None:

@@ -5,8 +5,8 @@ impairments at the MAC boundary, NoC link stalls and ejection-flit
 corruption, tile freezes and crashes, and (for the event-level VR
 cluster) node freezes — without referencing any concrete design
 object.  The same plan can therefore be attached to several
-independently constructed designs (the kernel x mesh-backend
-differential suite relies on this), and every random draw it implies
+independently constructed designs (the mesh-backend differential
+suite relies on this), and every random draw it implies
 comes from :class:`repro.sim.rng.SeededStreams` derived from the
 plan's single ``seed``, so a plan replays bit-identically.
 
@@ -142,8 +142,8 @@ class FaultPlan:
         """Stop a tile's clock for ``duration`` cycles starting the
         cycle after ``at``.  The tile's router and local port keep
         running (queued injections drain, ejections back-pressure), and
-        the resume is kernel-wake-safe: a frozen tile is pinned in the
-        scheduler's active set and explicitly re-woken at thaw."""
+        the resume is skip-safe: a frozen tile never reports idle, and
+        it is explicitly re-woken at thaw."""
         at, duration = _check_window(at, duration)
         self.tile_events.append(("freeze", name, at, duration))
         return self

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from repro.sim.kernel import Wakeable
-
 OVERRUN_REASON = "offered: admission overrun"
 
 
@@ -33,7 +31,7 @@ def nic_backlog(design) -> Callable[[], int]:
     return lambda: len(rx_ready)
 
 
-class OpenLoopSource(Wakeable):
+class OpenLoopSource:
     """Inject frames on an arrival schedule (a clocked component).
 
     ``frame_for(seq, cycle)`` builds the ``seq``-th frame (the

@@ -11,7 +11,7 @@ the fixed post-warmup window so curves are comparable across points.
 
 Everything in a result derives from cycles, counts, and seeded draws —
 two runs with identical arguments produce byte-identical documents, on
-every kernel x mesh x tile backend combination (the differential
+every mesh x tile backend combination (the differential
 suites pin the stack itself; the arrival schedule never touches
 backend state).
 """
@@ -53,7 +53,6 @@ def run_point(offered_gbps: float, *, seed: int = 0xBEE,
               warmup_cycles: int = 20_000,
               zipf_keys: int = 64, zipf_skew: float = 1.0,
               max_admission: int = 64,
-              kernel: str = "scheduled",
               mesh_backend: str = "flat",
               tile_backend: str = "flat",
               metrics: MetricsRegistry | None = None,
@@ -62,7 +61,7 @@ def run_point(offered_gbps: float, *, seed: int = 0xBEE,
     if payload_bytes < _TAG.size:
         raise ValueError(f"payload_bytes must be >= {_TAG.size} "
                          f"(the latency tag), got {payload_bytes}")
-    design = UdpEchoDesign(kernel=kernel, mesh_backend=mesh_backend,
+    design = UdpEchoDesign(mesh_backend=mesh_backend,
                            tile_backend=tile_backend)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     streams = SeededStreams(seed)

@@ -21,8 +21,7 @@ The *adapter boundary* sits exactly at injection/ejection: every
 router's LOCAL input FIFO and every attached port's ejection FIFO stay
 real ``StagedFifo`` objects, and tiles talk to an unmodified
 :class:`~repro.noc.mesh.LocalPort`.  That keeps tiles, the tracer, the
-linter's wake-contract checks, and ``design_counters`` working
-unchanged.
+linter's FIFO checks, and ``design_counters`` working unchanged.
 
 Bit-identity: the core replicates ``Router.step`` exactly — same port
 order, same wants-resolution, same wormhole grant/round-robin updates,
@@ -32,13 +31,12 @@ backend's registration order) — and the differential suite in
 ``tests/test_kernel_equivalence.py`` pins it against the object
 backend on every shipped design.
 
-Scheduling: the core is one schedulable component.  It reports
-``kernel_weight`` (routers + ports) so the kernel's saturation bypass
-weighs it correctly, and ``kernel_substeps()`` (the attached ports) so
-the linter knows who really steps inside it.  ``is_idle`` is true only
-when every ring, LOCAL input, injection queue, and staged ejection is
-empty — the conjunction of the object backend's per-component
-contracts.
+Scheduling: the core is one clocked component that skips idle routers
+and ports inside its own step (busy bitmasks).  It reports
+``kernel_substeps()`` (the attached ports) so the linter knows who
+really steps inside it.  ``is_idle`` is true only when every ring,
+LOCAL input, injection queue, and staged ejection is empty — the
+conjunction of the object backend's per-component contracts.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from repro.noc.router import (
 )
 from repro.noc.routing import Port, xy_route, yx_route
 from repro.params import ROUTER_INPUT_FIFO_FLITS
-from repro.sim.kernel import CycleSimulator, StagedFifo, Wakeable
+from repro.sim.kernel import CycleSimulator, StagedFifo
 from repro.telemetry.trace import NULL_TRACER
 
 # Port indices, identical to repro.noc.router's hot-path encoding.
@@ -192,7 +190,7 @@ class _FlatEgress:
         self.visible = 0
 
 
-class FlatMeshCore(Wakeable):
+class FlatMeshCore:
     """The entire mesh as one clocked component.
 
     ``step`` runs the exact ``Router.step`` algorithm for every router
@@ -226,7 +224,7 @@ class FlatMeshCore(Wakeable):
             for x in range(x_offset, x_offset + width)
         ]
         # Adapter boundary: LOCAL inputs are real StagedFifos so
-        # LocalPort (and the linter's wake checks) see ordinary queues.
+        # LocalPort (and the linter's FIFO checks) see ordinary queues.
         self._local_in: list[StagedFifo] = [
             StagedFifo(depth, name=f"router{coord}.in.local")
             for coord in self.coords
@@ -343,16 +341,12 @@ class FlatMeshCore(Wakeable):
         self._inj_mask |= 1 << index
         self._inj.append((port, r * _N_PORTS, port._local_in,
                           1 << r))
-        # ``LocalPort.send`` wakes via ``_kernel_wake``; under the flat
-        # backend that hook must both flag the port for the injection
-        # loop and wake the core (when a scheduled kernel attached one).
+        # ``LocalPort.send`` calls ``_kernel_wake``; under the flat
+        # backend that hook flags the port for the injection loop.
         bit = 1 << index
 
         def hook(core=self, bit=bit):
             core._inj_mask |= bit
-            waker = core._kernel_wake
-            if waker is not None:
-                waker()
 
         port._kernel_wake = hook
 
@@ -435,20 +429,9 @@ class FlatMeshCore(Wakeable):
 
     # -- scheduling contract ----------------------------------------------
 
-    @property
-    def kernel_weight(self) -> int:
-        """Scheduling weight: the component count this core replaces."""
-        return self.n_routers + len(self._ports_list)
-
     def kernel_substeps(self):
         """Components batch-stepped inside this one (for the linter)."""
         return list(self._ports_list)
-
-    def wake_sources(self):
-        """Pushes into any adapter FIFO re-activate the whole mesh."""
-        fifos: list[StagedFifo] = list(self._local_in)
-        fifos.extend(port.eject_fifo for port in self._ports_list)
-        return fifos
 
     def lint_consumed_fifos(self):
         """The FIFOs the router phase itself pops from."""
@@ -470,6 +453,8 @@ class FlatMeshCore(Wakeable):
     # -- per-cycle behaviour ----------------------------------------------
 
     def step(self, cycle: int) -> None:
+        if not self._busy_mask and not self._inj_mask:
+            return  # no router or port may have work
         # Local aliases: this loop is the simulator's hottest path.
         queues = self._queues
         heads = self._heads
@@ -747,9 +732,9 @@ class FlatMeshCore(Wakeable):
         # puts them).  The body is ``LocalPort.step`` inlined (same
         # observable effects: counters, trace events, one flit per
         # cycle into the local input) minus the local FIFO's waker fire
-        # — its only waker re-activates this core, which a staged local
-        # push keeps active via ``is_idle``.  ``send`` sets the port's
-        # mask bit through its wake hook; the loop prunes idle ports.
+        # — a router input FIFO has no wakers.  ``send`` sets the
+        # port's mask bit through its wake hook; the loop prunes idle
+        # ports.
         m = self._inj_mask
         if m:
             inj = self._inj
@@ -850,7 +835,7 @@ class FlatMeshCore(Wakeable):
         Called by the shard exchange after this core's tick; the body
         is ``commit``'s dirty-ring publication for a ring no in-band
         router pushes to — same head-cache invalidation, occupancy,
-        high-water and wake effects, so the receiving router sees the
+        high-water and busy-bit effects, so the receiving router sees the
         flits exactly as if an in-band upstream had staged them this
         cycle.
         """
@@ -877,9 +862,6 @@ class FlatMeshCore(Wakeable):
         self._ring_occ[r] += n
         self._ring_total += n
         self._busy_mask |= 1 << r
-        wake = self._kernel_wake
-        if wake is not None:
-            wake()
 
     # -- statistics -------------------------------------------------------
 
@@ -901,8 +883,7 @@ class FlatMesh:
 
     Construction, ``attach``, ``ports``, ``register``, ``routers`` and
     the counters all match the object mesh; ``register`` adds the
-    single core component instead of per-router/per-port objects and
-    routes the ports' external wake hook at it.
+    single core component instead of per-router/per-port objects.
     """
 
     #: The core steps every attached port itself (they are kernel
@@ -933,7 +914,6 @@ class FlatMesh:
             for index, coord in enumerate(self.core.coords)
         }
         self._ports: dict[tuple[int, int], LocalPort] = {}
-        self._sim: CycleSimulator | None = None
 
     def attach(self, coord: tuple[int, int],
                eject_depth: int = 4) -> LocalPort:
@@ -946,10 +926,6 @@ class FlatMesh:
         port = LocalPort(self.routers[coord], eject_depth)
         self._ports[coord] = port
         self.core.add_port(port)
-        if self._sim is not None:
-            # Late attach: the kernel's wake_sources snapshot predates
-            # this port, so hook its ejection FIFO here as well.
-            self._wire_port(port, wire_fifo=True)
         return port
 
     @property
@@ -957,30 +933,15 @@ class FlatMesh:
         """All attached local ports, keyed by coordinate."""
         return self._ports
 
-    def _wire_port(self, port: LocalPort, wire_fifo: bool = False) -> None:
-        """Hook a late-attached port's ejection FIFO into the kernel.
-
-        The send-side wake hook is installed by ``add_port`` (it must
-        exist even without a simulator); only the ejection FIFO's waker
-        — which the kernel snapshots from ``wake_sources`` at ``add``
-        time for earlier ports — needs wiring here.
-        """
-        waker = self.core._kernel_wake
-        if waker is not None and wire_fifo:
-            port.eject_fifo.add_waker(waker)
-
     def register(self, simulator: CycleSimulator) -> None:
         """Add the mesh to a simulator as one batch-stepped component.
 
         Each port's ``_kernel_wake`` hook (installed at attach) flags
-        the port for the core's injection loop and wakes the core.
-        Ports attached *after* registration additionally get their
-        ejection FIFO's waker wired on attach (the object backend
-        leaves late-attached ports unregistered, which the linter
-        flags; the flat backend has no such hole because the core
-        steps every attached port).
+        the port for the core's injection loop.  The core steps every
+        attached port, including ports attached *after* registration
+        (the object backend leaves those unregistered, which the
+        linter flags).
         """
-        self._sim = simulator
         simulator.add(self.core)
 
     @property

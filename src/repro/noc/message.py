@@ -31,7 +31,7 @@ def reset_id_counters() -> None:
 
     Ids are design-wide but allocated from module globals, so two runs
     built in the same process see different ids.  Differential tests
-    (naive vs scheduled kernel) call this before each run so that id
+    (ticked vs idle-skipping runs) call this before each run so that id
     streams — and everything derived from them, like trace spans —
     compare equal.
     """

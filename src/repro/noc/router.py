@@ -170,14 +170,10 @@ class Router:
 
     # -- quiescence contract (see repro.sim.kernel) -----------------------
 
-    def wake_sources(self):
-        """Pushes into any input FIFO re-activate the router."""
-        return self.inputs.values()
-
     def is_idle(self) -> bool:
         """A router with empty input FIFOs has nothing to move or
         commit; wormhole grants and arbitration pointers are static
-        until the next flit arrives, so it can sleep until a wake."""
+        until the next flit arrives."""
         for fifo in self._in_fifos:
             if fifo._items or fifo._staged:
                 return False

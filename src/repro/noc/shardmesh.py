@@ -20,14 +20,14 @@ after every shard has ticked, preserves bit-identical behaviour:
    sender's staged flits;
 2. ``apply`` — extend the receiver's edge FIFO with the flits (the
    exact effect an in-band commit would have had: items, high-water,
-   visible occupancy, consumer wakes) and return the pops to the
+   visible occupancy) and return the pops to the
    sender's egress as credits.
 
 The sender's room check reads ``egress.visible + len(egress.staged)``,
 which this protocol keeps equal, cycle for cycle, to the
 ``_visible + len(_staged)`` an unsharded downstream FIFO would show.
 The equivalence suite (``tests/test_shard.py``) pins this against the
-single-process reference on every kernel x mesh x tile combination.
+single-process reference on every mesh x tile combination.
 """
 
 from __future__ import annotations
@@ -118,8 +118,7 @@ class _ObjectIngress:
 
     ``apply`` replays what the receiver router's own commit would have
     done had an in-band upstream staged these flits: extend the items,
-    bump the high-water mark, publish the committed occupancy, fire
-    the consumer wake hooks.
+    bump the high-water mark, publish the committed occupancy.
     """
 
     __slots__ = ("fifo", "_prev")
@@ -146,8 +145,6 @@ class _ObjectIngress:
         if n > fifo.high_water:
             fifo.high_water = n
         fifo._visible = n
-        for waker in fifo._wakers:
-            waker()
 
 
 class _FlatEgressRef:
@@ -292,8 +289,6 @@ class _ObjectBoundaryLink(BoundaryLink):
             if cur > fifo.high_water:
                 fifo.high_water = cur
             fifo._visible = cur
-            for waker in fifo._wakers:
-                waker()
             self.flits_exchanged += n_new
         self._prev_fill = cur
 

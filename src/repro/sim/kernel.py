@@ -11,62 +11,40 @@ Because no staged write is observable until every component has stepped,
 the result is independent of component iteration order, which keeps the
 simulator deterministic and faithful to clocked RTL.
 
-Scheduling
-----------
+Scheduling: one rule
+--------------------
 
-The simulator ships two kernels, selected by ``kernel=``:
+``tick()`` steps and commits every registered component and FIFO, in
+registration order — the clock edge every tile and router of the RTL
+sees.  ``run``/``run_until`` add one shortcut: when *every* component
+reports ``is_idle()``, nothing can change before the earliest
+``next_event_cycle()``, so the clock jumps straight there instead of
+ticking no-op cycles.  The batch cores (:mod:`repro.noc.flatmesh`,
+:mod:`repro.tiles.flatcore`) already skip their own idle routers and
+tiles inside one step, so the kernel keeps no per-component activity
+state of its own.
 
-``"scheduled"`` (the default)
-    Activity-scheduled execution.  Components that implement the
-    *quiescence contract* (below) are removed from the per-cycle active
-    set while idle and re-activated in O(1) by either a *wake hook* on a
-    :class:`StagedFifo` they consume from or a *timer wheel* entry for
-    their next self-generated event.  When the whole design is
-    quiescent, idle stretches are skipped wholesale instead of being
-    ticked one no-op cycle at a time.
-
-``"naive"``
-    The original exhaustive scheduler: every registered component steps
-    and commits every cycle.  Kept as an escape hatch and as the
-    reference for differential (cycle-equivalence) testing.
-
-The quiescence contract — all optional, checked with ``getattr``:
+The quiescence contract — both optional, looked up with ``getattr``:
 
 ``is_idle() -> bool``
     True iff ``step(cycle)`` would make no externally visible state
-    change at the current cycle *and every future cycle* until either
-    (a) an item is pushed into one of the component's
-    :meth:`wake_sources` FIFOs, (b) the component is woken through its
-    ``_kernel_wake`` hook, or (c) the cycle returned by
-    ``next_event_cycle()`` arrives.  A component without ``is_idle``
-    is stepped every cycle, exactly as under the naive kernel.
+    change at the current cycle and every later one, for as long as no
+    other component steps, nothing outside the simulator mutates the
+    component, and the cycle returned by ``next_event_cycle()`` has not
+    arrived.  A component without ``is_idle`` is never idle: while it
+    is registered, the clock never jumps.
 
 ``next_event_cycle() -> int | None``
-    The absolute cycle of the component's next self-generated event
-    (a paced injector's next send, a tile engine's emit deadline), or
-    None if only external input can create work.  Consulted only when
-    ``is_idle()`` is True; waking *early* is always safe (the step is
-    a no-op and the component re-idles), waking late is a bug.
-
-``wake_sources() -> iterable[StagedFifo]``
-    The FIFOs whose ``push`` must re-activate this component — its NoC
-    input FIFOs, ejection FIFO, and so on.  Wired up by :meth:`add`.
-
-``_kernel_wake``
-    Slot filled by the kernel with a zero-argument wake callable (see
-    :class:`Wakeable`).  Components call it from externally-invoked
-    mutators (``push_frame``, ``send``) so out-of-band state changes
-    re-activate them.
-
-A wake that arrives during the step phase still gets the component a
-commit this cycle (so staged pushes into its FIFOs become visible on
-schedule) and a step from the next cycle on — which is exactly when the
-naive kernel would first let it observe the new state.
+    The absolute cycle of the component's next self-generated event (a
+    paced injector's next send, a tile engine's emit deadline), or None
+    if only external input can create work.  Consulted only when every
+    component is idle.  Naming an early cycle is always safe (the jump
+    stops short and the clock ticks); naming a late one is a bug, which
+    the sanitizer's idle-truth pass (BHV401) reports.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
 from collections.abc import Callable, Iterable
@@ -89,8 +67,8 @@ class ClockedComponent(Protocol):
 
     ``step(cycle)`` computes against last cycle's state; ``commit()``
     publishes this cycle's writes.  Components may additionally
-    implement the quiescence contract (module docstring) to be
-    eligible for idle-skip under the scheduled kernel.
+    implement the quiescence contract (module docstring) so a run can
+    jump over stretches where the whole design is idle.
     """
 
     def step(self, cycle: int) -> None: ...
@@ -101,11 +79,12 @@ class ClockedComponent(Protocol):
 class Wakeable:
     """Mixin giving a component an externally triggerable wake hook.
 
-    The scheduled kernel fills :attr:`_kernel_wake` when the component
-    is added; methods that mutate component state from outside the
-    component's own ``step`` (frame injection, message send) call
-    :meth:`_wake` so the scheduler re-activates the sleeper.  Under the
-    naive kernel the slot stays None and ``_wake`` is a no-op.
+    A flat batch core (:mod:`repro.noc.flatmesh`,
+    :mod:`repro.tiles.flatcore`) fills :attr:`_kernel_wake` when it
+    adopts a port or tile; methods that mutate the member from outside
+    its own ``step`` (frame injection, message send) call :meth:`_wake`
+    so the core sets the member's busy bit.  Outside a core the slot
+    stays None and ``_wake`` is a no-op.
     """
 
     _kernel_wake: Callable[[], None] | None = None
@@ -124,9 +103,9 @@ class StagedFifo:
     capacity immediately, so a producer that checks :meth:`can_accept`
     during *step* can never overflow the queue.
 
-    Wake hooks: consumers registered through :meth:`add_waker` are
-    re-activated on every ``push`` — the mechanism the scheduled kernel
-    uses to let downstream components sleep while the queue is empty.
+    Wake hooks: callables registered through :meth:`add_waker` run on
+    every ``push`` — the flat tile core uses them to set a consumer
+    tile's busy bit, so idle tiles cost nothing inside its step.
     """
 
     __slots__ = ("capacity", "name", "high_water", "_items", "_staged",
@@ -171,7 +150,7 @@ class StagedFifo:
         return len(self._items) + len(self._staged) + n <= capacity
 
     def add_waker(self, waker: Callable[[], None]) -> None:
-        """Re-activate a consumer (and its committer) on every push."""
+        """Call ``waker`` on every push."""
         self._wakers.append(waker)
 
     def push(self, item) -> None:
@@ -231,10 +210,6 @@ class StagedFifo:
 class CycleSimulator:
     """Drives a set of :class:`ClockedComponent` objects cycle by cycle.
 
-    ``kernel`` selects the scheduler: ``"scheduled"`` (activity-based,
-    the default) or ``"naive"`` (step everything every cycle — the
-    reference for differential testing; see the module docstring).
-
     ``tracer`` is the observability event bus
     (:mod:`repro.telemetry.trace`); it defaults to the shared no-op
     tracer, so an untraced simulation pays a single attribute test per
@@ -242,120 +217,40 @@ class CycleSimulator:
     recording tracer into a whole design.
     """
 
-    def __init__(self, tracer=None, kernel: str = "scheduled",
-                 mesh_backend: str = "object",
-                 tile_backend: str = "object",
-                 saturation_threshold: float | None = None,
-                 prune_interval: int | None = None):
+    def __init__(self, tracer=None, mesh_backend: str = "object",
+                 tile_backend: str = "object"):
         from repro.telemetry.trace import NULL_TRACER
-        if kernel not in ("scheduled", "naive"):
-            raise ValueError(f"unknown kernel {kernel!r} "
-                             "(choose 'scheduled' or 'naive')")
         if mesh_backend not in ("object", "flat"):
             raise ValueError(f"unknown mesh backend {mesh_backend!r} "
                              "(choose 'object' or 'flat')")
         if tile_backend not in ("object", "flat"):
             raise ValueError(f"unknown tile backend {tile_backend!r} "
                              "(choose 'object' or 'flat')")
-        if saturation_threshold is not None and saturation_threshold < 0:
-            raise ValueError("saturation_threshold must be >= 0 "
-                             "(fractions > 1 disable the bypass)")
-        if prune_interval is not None and prune_interval < 1:
-            raise ValueError("prune_interval must be >= 1 cycle")
         self.cycle = 0
-        self.kernel = kernel
         # Advisory: design constructors thread their mesh and tile
-        # backends through here (mirroring kernel=) so harnesses,
-        # telemetry, and bench reports can consult them.
+        # backends through here so harnesses, telemetry, and bench
+        # reports can consult them.
         self.mesh_backend = mesh_backend
         self.tile_backend = tile_backend
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._components: list[ClockedComponent] = []
         self._fifos: list[StagedFifo] = []
-        self._scheduled = kernel == "scheduled"
-        # Scheduled-kernel state.
-        self._order: dict = {}          # component -> registration index
-        self._active: set = set()       # components stepped next cycle
-        self._timers: list = []         # heap of (cycle, seq, component)
-        self._timer_seq = 0
-        self._armed: dict = {}          # component -> earliest armed cycle
-        self._in_step = False
-        self._late_wakes: list = []
-        # component -> (is_idle, next_event_cycle) resolved once at add
-        # time; (None, None) for components without the contract.
-        self._contracts: dict = {}
-        # Sorted view of the active set, rebuilt only when it changes
-        # (under saturation the set is stable for long stretches).
-        self._stepping_cache: list = []
-        self._active_dirty = True
-        # Saturation bypass tuning.  The bypass engages on the *raw*
-        # active fraction (schedule entries, not weights): a
-        # batch-stepped component like the flat mesh core is one cheap
-        # entry however many routers it absorbs.  ``kernel_weight``
-        # (the component count such a core replaces) instead feeds the
-        # effective design size that derives the prune interval.
-        self._saturation_threshold = (
-            0.25 if saturation_threshold is None else saturation_threshold
-        )
-        self._prune_interval_cfg = prune_interval
-        self._total_weight = 0          # effective component count
-        self._sat_limit = 0.0           # threshold * len(components)
-        # Adaptive pruning cadence (no explicit prune_interval): start
-        # at the floor and let the controller in _tick_scheduled adapt
-        # within [_PRUNE_FLOOR, _PRUNE_CAP] from what pruning ticks
-        # actually find.  An explicit setting stays fixed.
-        self._adaptive = prune_interval is None
-        self._prune_interval = prune_interval or self._PRUNE_FLOOR
-        # Stats (scheduled kernel only; stay 0 under naive).
+        # The quiescence contract, resolved once at add time.
+        self._idle_checks: list[Callable[[], bool]] = []
+        self._event_checks: list[Callable[[], int | None]] = []
+        self._never_idle = 0   # components without is_idle
         self.idle_cycles_skipped = 0
         self.component_steps = 0
 
-    @property
-    def saturation_threshold(self) -> float:
-        """Active-weight fraction above which the bypass engages."""
-        return self._saturation_threshold
-
-    #: Adaptive prune-cadence bounds: the controller never checks more
-    #: often than every _PRUNE_FLOOR cycles under saturation, and never
-    #: lets more than _PRUNE_CAP bypass cycles pass without one full
-    #: pruning sweep (the bound on how stale the active set can get).
-    _PRUNE_FLOOR = 32
-    _PRUNE_CAP = 4096
-
-    @property
-    def prune_interval(self) -> int:
-        """Cycles between pruning ticks while the bypass is engaged.
-
-        With no explicit ``prune_interval=``, the cadence is adaptive:
-        every pruning tick that finds nothing to prune doubles the
-        interval (a genuinely saturated design pays ever fewer full
-        sweeps), and any tick that *does* prune — or any cycle below
-        the saturation threshold — resets it to the floor, so a
-        draining design is detected within one floor-interval.  Bounds
-        are [32, 4096].  An explicit setting disables the controller
-        and stays fixed.
-        """
-        return self._prune_interval
-
-    @property
-    def active_components(self) -> int:
-        """Schedule entries in the active set (all, under naive)."""
-        if not self._scheduled:
-            return len(self._components)
-        return len(self._active)
-
     def stats(self) -> dict:
-        """Operational scheduler state, as the telemetry probe samples it.
+        """Operational clock state, as the telemetry probe samples it.
 
         Plain ints only — the dict is JSON-able as-is and cheap enough
         to build every sampling interval.
         """
         return {
-            "kernel": self.kernel,
             "cycle": self.cycle,
             "components": len(self._components),
-            "active": self.active_components,
-            "armed_timers": len(self._timers),
             "idle_cycles_skipped": self.idle_cycles_skipped,
             "component_steps": self.component_steps,
         }
@@ -364,27 +259,14 @@ class CycleSimulator:
 
     def add(self, component: ClockedComponent) -> None:
         self._components.append(component)
-        if not self._scheduled:
+        is_idle = getattr(component, "is_idle", None)
+        if is_idle is None:
+            self._never_idle += 1
             return
-        self._order[component] = len(self._components) - 1
-        self._total_weight += int(getattr(component, "kernel_weight", 1))
-        self._sat_limit = (self._saturation_threshold
-                           * len(self._components))
-        self._active.add(component)
-        self._contracts[component] = (
-            getattr(component, "is_idle", None),
-            getattr(component, "next_event_cycle", None),
-        )
-        waker = None
-        if getattr(component, "_kernel_wake", False) is None:
-            waker = self._waker_for(component)
-            component._kernel_wake = waker
-        sources = getattr(component, "wake_sources", None)
-        if sources is not None:
-            if waker is None:
-                waker = self._waker_for(component)
-            for fifo in sources():
-                fifo.add_waker(waker)
+        self._idle_checks.append(is_idle)
+        next_event = getattr(component, "next_event_cycle", None)
+        if next_event is not None:
+            self._event_checks.append(next_event)
 
     def add_all(self, components: Iterable[ClockedComponent]) -> None:
         for component in components:
@@ -399,83 +281,29 @@ class CycleSimulator:
         self._fifos.append(fifo)
         return fifo
 
-    # -- scheduled-kernel machinery ----------------------------------------
-
-    def _waker_for(self, component) -> Callable[[], None]:
-        active = self._active
-
-        def wake() -> None:
-            if component in active:
-                return
-            active.add(component)
-            self._active_dirty = True
-            if self._in_step:
-                # Woken mid-step: too late to step this cycle (the
-                # naive kernel's step would see nothing new anyway)
-                # but it must commit this cycle so staged pushes into
-                # its FIFOs land on schedule.  Everything stepped this
-                # cycle was already in the active set, so reaching
-                # here means this component is not being stepped.
-                self._late_wakes.append(component)
-
-        # Tag the closure with its target so static analysis
-        # (repro.analysis.wake) can verify FIFO hooks are wired to the
-        # component that consumes the FIFO.
-        wake.component = component
-        return wake
-
-    def wake(self, component) -> None:
-        """Re-activate ``component`` (no-op under the naive kernel)."""
-        if self._scheduled and component in self._order:
-            self._waker_for(component)()
-
-    def _arm_timer(self, component, deadline: int) -> None:
-        armed = self._armed.get(component)
-        if armed is not None and armed <= deadline:
-            return  # an equal-or-earlier (safe) wake is already queued
-        self._armed[component] = deadline
-        self._timer_seq += 1
-        heapq.heappush(self._timers, (deadline, self._timer_seq, component))
-
-    def _service_timers(self, cycle: int) -> None:
-        timers = self._timers
-        while timers and timers[0][0] <= cycle:
-            deadline, _, component = heapq.heappop(timers)
-            if self._armed.get(component) == deadline:
-                del self._armed[component]
-            if component not in self._active:
-                self._active.add(component)
-                self._active_dirty = True
-
-    def _reschedule(self, component, cycle: int) -> None:
-        """Deactivate ``component`` if it reports quiescence.
-
-        (The tick loop inlines this per stepped component; this method
-        is the readable reference and the hook for external callers.)
-        """
-        is_idle, next_event = self._contracts[component]
-        if is_idle is None or not is_idle():
-            return
-        if component in self._active:
-            self._active.discard(component)
-            self._active_dirty = True
-        if next_event is None:
-            return
-        deadline = next_event()
-        if deadline is not None:
-            self._arm_timer(component, max(deadline, cycle + 1))
+    # -- the one rule ---------------------------------------------------------
 
     def _next_wake_cycle(self) -> int | None:
-        """Earliest cycle with scheduled work, or None if fully quiescent.
+        """The next cycle that must be ticked.
 
-        Only meaningful under the scheduled kernel; callers use it to
-        skip idle stretches in O(1).
+        ``self.cycle`` unless every component is idle; then the
+        earliest ``next_event_cycle()`` (never in the past), or None
+        if nothing is scheduled at all.
         """
-        if self._active:
-            return self.cycle
-        if self._timers:
-            return max(self._timers[0][0], self.cycle)
-        return None
+        cycle = self.cycle
+        if self._never_idle:
+            return cycle
+        for is_idle in self._idle_checks:
+            if not is_idle():
+                return cycle
+        wake = None
+        for next_event in self._event_checks:
+            deadline = next_event()
+            if deadline is not None and (wake is None or deadline < wake):
+                wake = deadline
+        if wake is not None and wake < cycle:
+            return cycle
+        return wake
 
     def _skip_to(self, target: int) -> None:
         """Advance the clock over a stretch of provably idle cycles."""
@@ -484,8 +312,8 @@ class CycleSimulator:
             return
         self.idle_cycles_skipped += skipped
         if self.tracer.enabled:
-            # The naive kernel announces every cycle; announcing the
-            # last skipped one keeps Tracer.last_cycle (and horizon)
+            # A ticked run announces every cycle; announcing the last
+            # skipped one keeps Tracer.last_cycle (and horizon)
             # identical without per-cycle cost.
             self.tracer.cycle_start(target - 1)
         self.cycle = target
@@ -493,201 +321,57 @@ class CycleSimulator:
     # -- the clock ----------------------------------------------------------
 
     def tick(self) -> None:
-        """Advance the simulation by one clock cycle."""
-        if self._scheduled:
-            self._tick_scheduled()
-        else:
-            self._tick_naive()
-
-    def _tick_naive(self) -> None:
-        if self.tracer.enabled:
-            self.tracer.cycle_start(self.cycle)
-        for component in self._components:
-            component.step(self.cycle)
-        for component in self._components:
-            component.commit()
-        for fifo in self._fifos:
-            fifo.commit()
-        self.cycle += 1
-
-    def _tick_scheduled(self) -> None:
+        """Advance the simulation by one clock cycle, stepping and
+        committing every component."""
         cycle = self.cycle
-        timers = self._timers
-        if timers and timers[0][0] <= cycle:
-            self._service_timers(cycle)
-        # Saturation bypass: when a sizeable fraction of the schedule
-        # entries is active, pruning bookkeeping (idle checks, timer
-        # arms, set churn) costs more than the no-op steps it saves.
-        # Stepping a sleeping component is always safe — its step is a
-        # no-op by contract — so step the full registration list
-        # naive-style, keeping a periodic pruning tick (every
-        # ``prune_interval`` cycles) so the active set drains when load
-        # drops.  The bypass *engages* on raw entry counts — a
-        # batch-stepping core skips its own idle internals, so it stays
-        # one cheap entry however many components it absorbs — but the
-        # design-size gate uses effective weight, so a design that is
-        # large only through such a core still qualifies.
-        saturated = (self._total_weight >= 16
-                     and len(self._active) > self._sat_limit)
-        if saturated and cycle % self._prune_interval:
-            if self.tracer.enabled:
-                self.tracer.cycle_start(cycle)
-            components = self._components
-            for component in components:
-                component.step(cycle)
-            for component in components:
-                component.commit()
-            for fifo in self._fifos:
-                fifo.commit()
-            self.component_steps += len(components)
-            self.cycle = cycle + 1
-            return
         if self.tracer.enabled:
             self.tracer.cycle_start(cycle)
-        if self._active_dirty:
-            stepping = sorted(self._active, key=self._order.__getitem__)
-            self._stepping_cache = stepping
-            self._active_dirty = False
-        else:
-            stepping = self._stepping_cache
-        self._late_wakes = late = []
-        self._in_step = True
-        try:
-            for component in stepping:
-                component.step(cycle)
-        finally:
-            self._in_step = False
-        if late:
-            # A late wake already marked the active set dirty, so the
-            # cache is rebuilt next tick; extending in place is safe.
-            stepping.extend(sorted(late, key=self._order.__getitem__))
-        self.component_steps += len(stepping)
-        for component in stepping:
+        components = self._components
+        for component in components:
+            component.step(cycle)
+        for component in components:
             component.commit()
         for fifo in self._fifos:
             fifo.commit()
-        contracts = self._contracts
-        active = self._active
-        pruned = 0
-        for component in stepping:
-            is_idle, next_event = contracts[component]
-            if is_idle is None or not is_idle():
-                continue
-            active.discard(component)
-            self._active_dirty = True
-            pruned += 1
-            if next_event is None:
-                continue
-            deadline = next_event()
-            if deadline is not None:
-                self._arm_timer(component, max(deadline, cycle + 1))
-        if self._adaptive:
-            # Adapt the pruning cadence to what this tick observed: a
-            # saturated sweep that pruned nothing doubles the interval
-            # (up to the cap), one that found idle components — or any
-            # cycle below the saturation threshold — resets it to the
-            # floor so draining load is noticed promptly.
-            if saturated:
-                if pruned:
-                    self._prune_interval = self._PRUNE_FLOOR
-                elif self._prune_interval < self._PRUNE_CAP:
-                    self._prune_interval *= 2
-            elif self._prune_interval != self._PRUNE_FLOOR:
-                self._prune_interval = self._PRUNE_FLOOR
+        self.component_steps += len(components)
         self.cycle = cycle + 1
 
     def sanitized_tick(self, observer) -> None:
         """One instrumented cycle for :mod:`repro.analysis.sanitize`.
 
-        Steps the *full* registration list naive-style — safe because a
-        truthfully idle component's step is a no-op by contract, the
-        same property the saturation bypass relies on — while
-        maintaining the scheduled kernel's activity bookkeeping (active
-        set, timers, pruning) exactly as a bypass-free scheduled run
-        would.  The divergence between the two is the signal:
-
-        - a component *not* in the active set is handed to
-          ``observer.shadow_step(component, cycle)`` instead of being
-          stepped directly, so the observer can fingerprint it around
-          its own step (BHV401 idle-truthfulness);
-        - after the step phase, ``observer.step_phase_done(cycle)``
-          runs with staged pushes still visible, so pushes into FIFOs
-          whose consumers stayed pruned are observable (BHV402).
-
-        This method is strictly opt-in: the normal ``tick`` path never
-        consults it, so the sanitizer-off fast path is untouched.
-        Under the naive kernel nothing is ever pruned and this
-        degrades to a plain naive tick plus the observer callbacks.
+        A plain :meth:`tick`, except at a cycle ``run`` would skip
+        (every component idle, no event due): there each component is
+        handed to ``observer.shadow_step(component, cycle)`` instead of
+        being stepped directly, so the observer can fingerprint it
+        around its own step.  A truthfully idle component's step is a
+        no-op, so any observable change is an ``is_idle()`` lie
+        (BHV401).  The normal ``tick``/``run`` paths never consult
+        this.
         """
-        cycle = self.cycle
-        if not self._scheduled:
-            if self.tracer.enabled:
-                self.tracer.cycle_start(cycle)
-            for component in self._components:
-                component.step(cycle)
-            observer.step_phase_done(cycle)
-            for component in self._components:
-                component.commit()
-            for fifo in self._fifos:
-                fifo.commit()
-            self.cycle = cycle + 1
-            observer.cycle_done(cycle)
+        if self._next_wake_cycle() == self.cycle:
+            self.tick()
             return
-        if self._timers and self._timers[0][0] <= cycle:
-            self._service_timers(cycle)
+        cycle = self.cycle
         if self.tracer.enabled:
             self.tracer.cycle_start(cycle)
-        active = self._active
-        stepped = []
-        self._late_wakes = late = []
-        self._in_step = True
-        try:
-            for component in self._components:
-                if component in active:
-                    stepped.append(component)
-                    component.step(cycle)
-                else:
-                    observer.shadow_step(component, cycle)
-        finally:
-            self._in_step = False
-        observer.step_phase_done(cycle)
-        self.component_steps += len(self._components)
-        for component in self._components:
+        components = self._components
+        for component in components:
+            observer.shadow_step(component, cycle)
+        for component in components:
             component.commit()
         for fifo in self._fifos:
             fifo.commit()
-        # Prune bookkeeping over the components the scheduled kernel
-        # would have stepped (the active set at cycle start plus late
-        # wakes), mirroring _tick_scheduled without the bypass.
-        stepped.extend(late)
-        contracts = self._contracts
-        for component in stepped:
-            is_idle, next_event = contracts[component]
-            if is_idle is None or not is_idle():
-                continue
-            active.discard(component)
-            self._active_dirty = True
-            if next_event is None:
-                continue
-            deadline = next_event()
-            if deadline is not None:
-                self._arm_timer(component, max(deadline, cycle + 1))
+        self.component_steps += len(components)
         self.cycle = cycle + 1
-        observer.cycle_done(cycle)
 
     def run(self, cycles: int) -> None:
-        if not self._scheduled:
-            for _ in range(cycles):
-                self.tick()
-            return
         end = self.cycle + cycles
         while self.cycle < end:
             wake = self._next_wake_cycle()
-            target = end if wake is None else min(wake, end)
-            if target > self.cycle:
-                self._skip_to(target)
-                continue
-            self.tick()
+            if wake == self.cycle:
+                self.tick()
+            else:
+                self._skip_to(end if wake is None else min(wake, end))
 
     def run_until(
         self,
@@ -705,15 +389,15 @@ class CycleSimulator:
         check runs between ticks, so one pathological tick can overrun
         the budget, but a wedged loop cannot hang the caller).
 
-        Under the scheduled kernel, fully idle stretches are skipped
-        and the condition re-evaluated at each wake boundary.  During
-        a stretch no simulated state changes except ``self.cycle``, so
-        a condition that flips mid-stretch (e.g. ``sim.cycle >= N``)
-        is located by bisection and observed at the exact cycle it
-        first became true — never overshot.  (A condition that flips
-        back and forth *within* one idle stretch as a function of the
-        cycle number alone has no well-defined first-true cycle under
-        any scheduler; bisection returns one of its true cycles.)
+        Fully idle stretches are skipped and the condition re-evaluated
+        at each wake boundary.  During a stretch no simulated state
+        changes except ``self.cycle``, so a condition that flips
+        mid-stretch (e.g. ``sim.cycle >= N``) is located by bisection
+        and observed at the exact cycle it first became true — never
+        overshot.  (A condition that flips back and forth *within* one
+        idle stretch as a function of the cycle number alone has no
+        well-defined first-true cycle; bisection returns one of its
+        true cycles.)
         """
         start = self.cycle
         limit = start + max_cycles
@@ -729,13 +413,12 @@ class CycleSimulator:
                     f"condition not met within {wall_clock_budget_s}s "
                     f"of wall clock ({self.cycle - start} cycles run)"
                 )
-            if self._scheduled:
-                wake = self._next_wake_cycle()
-                target = limit if wake is None else min(wake, limit)
-                if target > self.cycle:
-                    self._skip_to_condition(condition, target)
-                    continue
-            self.tick()
+            wake = self._next_wake_cycle()
+            if wake == self.cycle:
+                self.tick()
+            else:
+                self._skip_to_condition(
+                    condition, limit if wake is None else min(wake, limit))
         return self.cycle - start
 
     def _skip_to_condition(

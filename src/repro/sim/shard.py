@@ -24,7 +24,7 @@ simulator's commit phase would have published.  There is no rollback,
 no speculation, and no tolerance window: equality is exact, and
 ``tests/test_shard.py`` pins it (frames and cycle counts, per-design
 counters, and the merged trace stream) against the single-process
-reference across the kernel x mesh x tile matrix.
+reference across the mesh x tile matrix.
 
 Transports
 ----------
@@ -54,11 +54,8 @@ from repro.noc.message import IdNamespace
 from repro.sim.kernel import CycleSimulator
 
 
-def make_simulator(tracer=None, kernel: str = "scheduled",
-                   mesh_backend: str = "object",
+def make_simulator(tracer=None, mesh_backend: str = "object",
                    tile_backend: str = "object",
-                   saturation_threshold: float | None = None,
-                   prune_interval: int | None = None,
                    shards: int = 1,
                    shard_transport: str = "loopback"):
     """Build the simulator a design asked for.
@@ -69,16 +66,11 @@ def make_simulator(tracer=None, kernel: str = "scheduled",
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if shards == 1:
-        return CycleSimulator(
-            tracer=tracer, kernel=kernel, mesh_backend=mesh_backend,
-            tile_backend=tile_backend,
-            saturation_threshold=saturation_threshold,
-            prune_interval=prune_interval)
+        return CycleSimulator(tracer=tracer, mesh_backend=mesh_backend,
+                              tile_backend=tile_backend)
     return ShardedSimulator(
-        tracer=tracer, kernel=kernel, mesh_backend=mesh_backend,
-        tile_backend=tile_backend,
-        saturation_threshold=saturation_threshold,
-        prune_interval=prune_interval, shards=shards,
+        tracer=tracer, mesh_backend=mesh_backend,
+        tile_backend=tile_backend, shards=shards,
         transport=shard_transport)
 
 
@@ -88,7 +80,8 @@ class ShardedSimulator(CycleSimulator):
     Subclasses :class:`CycleSimulator` so ``run``/``run_until`` (and
     their idle-skip bisection) work unchanged — they drive the
     coordinator through ``tick``/``_next_wake_cycle``/``_skip_to``,
-    all overridden here.  The coordinator itself owns no mesh or tile
+    all overridden here: the design is idle only when every shard and
+    every global component is.  The coordinator itself owns no mesh or tile
     components; it routes ``add`` calls to the owning shard by
     coordinate, steps ``shard_scope == "global"`` components after the
     boundary exchange, and aggregates ``stats``.
@@ -96,11 +89,8 @@ class ShardedSimulator(CycleSimulator):
 
     is_sharded = True
 
-    def __init__(self, tracer=None, kernel: str = "scheduled",
-                 mesh_backend: str = "object",
+    def __init__(self, tracer=None, mesh_backend: str = "object",
                  tile_backend: str = "object",
-                 saturation_threshold: float | None = None,
-                 prune_interval: int | None = None,
                  shards: int = 2, transport: str = "loopback"):
         if transport not in ("loopback", "mp"):
             raise ValueError(f"unknown shard transport {transport!r} "
@@ -108,18 +98,13 @@ class ShardedSimulator(CycleSimulator):
         if shards < 2:
             raise ValueError("ShardedSimulator needs shards >= 2 "
                              "(use make_simulator for shards=1)")
-        super().__init__(tracer=tracer, kernel=kernel,
-                         mesh_backend=mesh_backend,
-                         tile_backend=tile_backend,
-                         saturation_threshold=saturation_threshold,
-                         prune_interval=prune_interval)
+        super().__init__(tracer=tracer, mesh_backend=mesh_backend,
+                         tile_backend=tile_backend)
         self.shards = shards
         self.transport = transport
         self.sims = [
-            CycleSimulator(kernel=kernel, mesh_backend=mesh_backend,
-                           tile_backend=tile_backend,
-                           saturation_threshold=saturation_threshold,
-                           prune_interval=prune_interval)
+            CycleSimulator(mesh_backend=mesh_backend,
+                           tile_backend=tile_backend)
             for _ in range(shards)
         ]
         for sim in self.sims:
@@ -195,8 +180,6 @@ class ShardedSimulator(CycleSimulator):
                     f"{type(component).__name__} needs a design-wide "
                     "view each cycle; use shard_transport='loopback'")
             self._globals.append(component)
-            if getattr(component, "_kernel_wake", False) is None:
-                component._kernel_wake = lambda: None
             return
         coord = getattr(component, "coord", None)
         shard = 0 if coord is None else self.shard_of(coord)
@@ -204,12 +187,6 @@ class ShardedSimulator(CycleSimulator):
 
     def register_fifo(self, fifo):
         return self.sims[0].register_fifo(fifo)
-
-    def wake(self, component) -> None:
-        for sim in self.sims:
-            if component in sim._order:
-                sim.wake(component)
-                return
 
     # -- the clock -----------------------------------------------------------
 
@@ -285,22 +262,15 @@ class ShardedSimulator(CycleSimulator):
 
     # -- stats ---------------------------------------------------------------
 
-    @property
-    def active_components(self) -> int:
-        return sum(sim.active_components for sim in self.sims)
-
     def stats(self) -> dict:
         if self._mp_stats is not None:
             inner = self._mp_stats
         else:
             inner = [sim.stats() for sim in self.sims]
         return {
-            "kernel": self.kernel,
             "cycle": self.cycle,
             "components": (sum(s["components"] for s in inner)
                            + len(self._globals)),
-            "active": sum(s["active"] for s in inner),
-            "armed_timers": sum(s["armed_timers"] for s in inner),
             "idle_cycles_skipped": self.idle_cycles_skipped,
             "component_steps": sum(s["component_steps"]
                                    for s in inner),

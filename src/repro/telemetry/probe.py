@@ -1,6 +1,6 @@
 """Periodic operational sampling — the always-on telemetry plane.
 
-A :class:`Probe` is a clocked component that wakes every ``interval``
+A :class:`Probe` is a clocked component that samples every ``interval``
 cycles, reads the design's operational state (it *never* writes any),
 and feeds two sinks:
 
@@ -16,8 +16,8 @@ What a sample captures:
 - queue depths and high-water marks on every tile's ejection FIFO and
   injection backlog (``StagedFifo.high_water`` /
   ``LocalPort.tx_backlog_high_water``), plus engine/rx occupancy;
-- scheduler state from :meth:`CycleSimulator.stats` — active-set size,
-  idle cycles skipped, cumulative component steps;
+- clock state from :meth:`CycleSimulator.stats` — idle cycles
+  skipped, cumulative component steps;
 - fabric activity: per-link flit deltas since the previous sample
   (rate = delta / interval), the busy-router population (the flat
   backend's busy-mask popcount, the object backend's non-idle count);
@@ -36,32 +36,24 @@ design, interval=None)`` attaches *nothing*: no component is added, no
 state is wrapped, and the design's per-cycle cost is exactly what it
 was.  An attached probe is read-only and timer-driven, so it never
 changes simulated behaviour (the differential equivalence suite pins
-this); its only cost is one kernel wake plus the sample walk every
-``interval`` cycles.
+this); its only cost is the sample walk every ``interval`` cycles
+(its ``next_event_cycle`` ends an idle jump there).
 """
 
 from __future__ import annotations
 
-from repro.sim.kernel import Wakeable
 from repro.telemetry.export import SnapshotSeries
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import percentile
+from repro.telemetry.trace import iter_tiles, percentile
 
 DEFAULT_INTERVAL = 500
-
-
-def _iter_tiles(design: object) -> list:
-    tiles = design.tiles
-    if isinstance(tiles, dict):
-        return list(tiles.values())
-    return list(tiles)
 
 
 def _link_key(coord: object, port: object) -> str:
     return f"{coord}->{getattr(port, 'value', port)}"
 
 
-class Probe(Wakeable):
+class Probe:
     """The periodic sampler.  Build via :func:`attach_probe`."""
 
     name = "telemetry.probe"
@@ -86,7 +78,6 @@ class Probe(Wakeable):
             interval=interval,
             design=design_name or type(design).__name__,
             meta={
-                "kernel": design.sim.kernel,
                 "mesh_backend": design.sim.mesh_backend,
                 "tile_backend": design.sim.tile_backend,
             },
@@ -173,11 +164,6 @@ class Probe(Wakeable):
         sim = design.sim
 
         kernel = sim.stats()
-        registry.gauge("kernel.active_components",
-                       "schedule entries in the active set"
-                       ).set(kernel["active"])
-        registry.gauge("kernel.armed_timers",
-                       "timer-wheel entries").set(kernel["armed_timers"])
         self._inc_to("kernel.idle_cycles_skipped",
                      kernel["idle_cycles_skipped"],
                      "cycles skipped by whole-design idle stretches")
@@ -217,7 +203,7 @@ class Probe(Wakeable):
             busy_tiles = tile_core.busy_tiles
         else:
             busy_tiles = sum(
-                1 for tile in _iter_tiles(design)
+                1 for tile in iter_tiles(design)
                 if hasattr(tile, "is_idle") and not tile.is_idle())
         registry.gauge("tiles.busy",
                        "tiles with (possible) work this cycle"
@@ -230,7 +216,7 @@ class Probe(Wakeable):
         backlog_hist = registry.histogram(
             "queues.tx_backlog", "sampled injection backlogs")
         drops_total = 0
-        for tile in _iter_tiles(design):
+        for tile in iter_tiles(design):
             port = getattr(tile, "port", None)
             eject = getattr(port, "eject_fifo", None)
             depth = len(eject) if eject is not None else 0

@@ -148,7 +148,6 @@ def design_counters(design: object) -> dict:
     counters = {
         "cycle": design.sim.cycle,
         "backends": {
-            "kernel": getattr(design.sim, "kernel", "naive"),
             "mesh": getattr(design.sim, "mesh_backend", "object"),
             "tile": getattr(design.sim, "tile_backend", "object"),
             "shards": getattr(design.sim, "shards", 1),
@@ -225,8 +224,8 @@ def design_report(design: object,
     kinds = ", ".join(f"{kind} x{count}"
                       for kind, count in counters["tile_kinds"].items())
     lines = [f"design state at cycle {counters['cycle']}",
-             f"backends: kernel={backends['kernel']} "
-             f"mesh={backends['mesh']} tile={backends['tile']} "
+             f"backends: mesh={backends['mesh']} "
+             f"tile={backends['tile']} "
              f"shards={backends['shards']}",
              f"tile kinds: {kinds}",
              f"{'tile':<14} {'kind':<14} {'coord':<8} "

@@ -281,7 +281,8 @@ class Tracer(NullTracer):
         return last + 1
 
 
-def _iter_tiles(design: object) -> list:
+def iter_tiles(design: object) -> list:
+    """A design's tiles as a list, whether it keeps a list or a dict."""
     tiles = design.tiles
     if isinstance(tiles, dict):
         return list(tiles.values())
@@ -303,7 +304,7 @@ def attach_tracer(design: object,
         router.tracer = tracer
     for port in design.mesh.ports.values():
         port.tracer = tracer
-    for tile in _iter_tiles(design):
+    for tile in iter_tiles(design):
         tile.tracer = tracer
     return tracer
 

@@ -183,10 +183,10 @@ class Tile(Wakeable):
     (source/application behaviour independent of message arrival).
 
     Scheduling: the base class implements the kernel's quiescence
-    contract, so a purely message-driven tile sleeps while it has no
-    flits to pump and no engine work, and its timers (``parse_latency``
-    emit deadline, engine recovery, future-stamped arrivals) are served
-    by the kernel's timer wheel.  A subclass that overrides
+    contract, so a purely message-driven tile reports idle while it
+    has no flits to pump and no engine work, and names its timers
+    (``parse_latency`` emit deadline, engine recovery, future-stamped
+    arrivals) through ``next_event_cycle``.  A subclass that overrides
     :meth:`on_cycle` is conservatively treated as always active unless
     it also overrides :meth:`is_idle` with its own contract.
     """
@@ -292,22 +292,17 @@ class Tile(Wakeable):
 
     # -- quiescence contract (see repro.sim.kernel) ---------------------------
 
-    def wake_sources(self):
-        """Flits ejected by the router re-activate the tile."""
-        return (self.port.eject_fifo,)
-
     def is_idle(self) -> bool:
-        """True when ``step`` is provably a no-op until a wake or timer.
+        """True when ``step`` is provably a no-op until new input or a
+        timer.
 
         A subclass that overrides :meth:`on_cycle` has per-cycle
         behaviour the base class cannot reason about, so it is reported
-        never-idle (always stepped — naive-kernel behaviour) unless it
-        supplies its own contract.
+        never-idle unless it supplies its own contract.
         """
         if self._fault_frozen:
-            # Pinned active: a frozen tile's timers are stale, so it
-            # must not be descheduled against them; the fault engine
-            # additionally wakes it at thaw (kernel-wake-safe resume).
+            # Pinned active: a frozen tile's timers are stale, so the
+            # clock must not jump against them.
             return False
         if type(self).on_cycle is not Tile.on_cycle:
             return False
@@ -318,8 +313,7 @@ class Tile(Wakeable):
             return True   # sleeps until the _emit_at timer
         if self._rx_ready:
             # Pickup waits on arrival/engine timers — but a blocked
-            # injection queue must be polled, since only the port's
-            # progress (not a wake) unblocks it.
+            # injection queue must be polled until the port drains.
             return self.port.tx_backlog < self.max_tx_backlog
         return True
 

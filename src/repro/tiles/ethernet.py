@@ -88,8 +88,8 @@ class EthernetTxTile(Tile):
         self.emit_to_noc = emit_to_noc
         self.neighbor_macs: dict[IPv4Address, MacAddress] = {}
         self.frames_out: deque[tuple[bytes, int]] = deque()
-        # MAC-side consumers (FrameSink and friends) register a wake
-        # callback here so a newly queued frame re-activates them.
+        # MAC-side consumers may register a zero-argument callback
+        # here; it runs once per newly queued frame.
         self.frame_listeners: list = []
         self.frame_bytes_out = 0
         self._line_free = 0

@@ -34,18 +34,16 @@ bit-identically across ``tile_backend="object"|"flat"``:
   ``service_cycles``, ``send`` and ``drop`` are always dispatched
   through the instance, so subclass hooks and instance-level patches
   (``hostprof``) fire under both modes.
-- Each adopted tile gets a ``_kernel_wake`` hook that sets its busy bit
-  (and wakes the core), and the core registers the tiles' ejection
-  FIFOs as its own ``wake_sources`` — so frame injection, router
-  ejection, and fault thaw re-activate exactly the tiles they touch,
-  under both the scheduled and naive kernels.
+- Each adopted tile gets a ``_kernel_wake`` hook that sets its busy
+  bit, and the same hook runs on every push into the tile's ejection
+  FIFO — so frame injection, router ejection, and fault thaw
+  re-activate exactly the tiles they touch.
 
-Scheduling contract (``repro.sim.kernel``): the core reports
-``kernel_weight`` equal to the tile count it replaces, lists the tiles
+Scheduling contract (``repro.sim.kernel``): the core lists the tiles
 as ``kernel_substeps()`` so the linter treats them as
 registered-by-proxy, and implements ``is_idle``/``next_event_cycle``
-over its own busy mask and timer heap — mirroring, tile by tile, what
-the kernel would have computed for individually registered tiles.
+over its own busy mask and timer heap — the conjunction of the
+individually registered tiles' contracts.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from collections.abc import Iterable
 
 from repro.noc.flit import FlitKind
 from repro.noc.message import next_packet_id
-from repro.sim.kernel import CycleSimulator, Wakeable
+from repro.sim.kernel import CycleSimulator
 from repro.tiles.base import Tile
 
 _DATA = FlitKind.DATA
@@ -66,8 +64,7 @@ _DATA = FlitKind.DATA
 # both modes, so overriding them does not disqualify a class.
 _ENGINE_HOOKS = (
     "step", "commit", "on_cycle", "is_idle", "next_event_cycle",
-    "wake_sources", "_pump_eject", "_pump_process", "_begin_service",
-    "_finish_service",
+    "_pump_eject", "_pump_process", "_begin_service", "_finish_service",
 )
 _FAST_CLASS_CACHE: dict[type, bool] = {}
 
@@ -136,7 +133,7 @@ class FlatTileView:
                 f"mode={self.mode!r}, busy={self.busy})")
 
 
-class FlatTileCore(Wakeable):
+class FlatTileCore:
     """Array-of-struct engine batch-stepping a design's tiles.
 
     Build with :func:`register_tiles` (or ``adopt`` tiles manually,
@@ -161,8 +158,7 @@ class FlatTileCore(Wakeable):
         self._fabric: list[tuple] = []
         # Scheduling state: busy bitmask (bit i == tiles[i] must step),
         # per-tile armed deadline (-1 when unarmed), timer heap of
-        # (deadline, index) with lazy invalidation — the same shape the
-        # kernel uses for individually registered components.
+        # (deadline, index) with lazy invalidation.
         self._busy = 0
         self._deadlines: list[int] = []
         self._timers: list[tuple[int, int]] = []
@@ -198,21 +194,11 @@ class FlatTileCore(Wakeable):
                                 []).append(index)
 
         def hook(core=self, bit=bit):
-            # Fires on every ejected flit at saturation; the early exit
-            # skips the kernel wake when the bit is already set (a set
-            # bit means the core is not idle, so it is still scheduled).
-            busy = core._busy
-            if busy & bit:
-                return
-            core._busy = busy | bit
-            waker = core._kernel_wake
-            if waker is not None:
-                waker()
+            core._busy |= bit
 
         # The tile-side wake hook: push_frame/send/fault-thaw call
         # tile._wake(), the router's ejection lands in the FIFO — both
-        # must set the busy bit whether or not the kernel ever wired a
-        # waker of its own (it doesn't, under the naive kernel).
+        # must set the busy bit.
         tile._kernel_wake = hook
         tile.port.eject_fifo.add_waker(hook)
         return index
@@ -339,8 +325,8 @@ class FlatTileCore(Wakeable):
                 tracer = t.tracer
                 if tracer.enabled:
                     tracer.processing_start(cycle, t, message)
-            # Inlined Tile.is_idle + next_event_cycle, mirroring the
-            # kernel's post-step reschedule for the object backend.
+            # Inlined Tile.is_idle + next_event_cycle: clear the busy
+            # bit of a tile that went idle and arm its next deadline.
             if eject._items or eject._staged:
                 continue  # flits to pump (or a full buffer to poll)
             if t._in_service is not None:
@@ -355,8 +341,8 @@ class FlatTileCore(Wakeable):
                     self._arm(i,
                               tail_cycle if tail_cycle > engine_free
                               else engine_free, cycle)
-                # else: blocked injection — only port progress (not a
-                # wake) unblocks it, so the bit stays set for polling.
+                # else: blocked injection — only port progress
+                # unblocks it, so the bit stays set for polling.
                 continue
             self._busy &= ~low
 
@@ -374,18 +360,9 @@ class FlatTileCore(Wakeable):
 
     # -- quiescence contract (see repro.sim.kernel) -------------------------
 
-    @property
-    def kernel_weight(self) -> int:
-        """Effective design size: the schedule entries this replaces."""
-        return max(1, len(self.tiles))
-
     def kernel_substeps(self) -> list:
         """The components this core steps on the kernel's behalf."""
         return list(self.tiles)
-
-    def wake_sources(self):
-        """Ejections into any adopted tile re-activate the core."""
-        return list(self._ejects)
 
     def lint_consumed_fifos(self):
         """FIFOs the core itself pops (via the inlined eject pump)."""
@@ -453,7 +430,7 @@ def register_tiles(sim: CycleSimulator, tiles,
                    ) -> FlatTileCore | ShardTileCores | None:
     """Register a design's tiles with ``sim`` under a tile backend.
 
-    ``"object"``: every tile is its own scheduled component (the
+    ``"object"``: every tile is its own clocked component (the
     classic ``sim.add_all``).  ``"flat"``: all tiles are adopted into
     one :class:`FlatTileCore` registered in their place — same
     registration slot, so within-cycle step order (and therefore every
@@ -487,8 +464,6 @@ def register_tiles(sim: CycleSimulator, tiles,
                     name=f"flattiles.s{shard}")
             core.adopt(tile)
         cores = [by_shard[shard] for shard in sorted(by_shard)]
-        # Add after adoption (like the unsharded path) so the kernel
-        # snapshots the full wake_sources/kernel_weight.
         for shard, core in zip(sorted(by_shard), cores):
             sim.sims[shard].add(core)
         return ShardTileCores(cores)

@@ -15,8 +15,8 @@ the same way.
 
 ``--sanitize`` additionally runs the dynamic sanitizer passes
 (BHV4xx): bounded instrumented simulations under one or more
-kernel/mesh/tile combos (``--combos scheduled/flat/flat``, repeatable)
-for ``--cycles`` cycles each.  ``--pass`` filters across both
+mesh/tile combos (``--combos flat/flat``, repeatable) for ``--cycles``
+cycles each.  ``--pass`` filters across both
 families; a sanitize-family pass name requires ``--sanitize``.
 
 Exit status: 0 clean (warnings allowed unless ``--strict``), 1 when
@@ -73,7 +73,6 @@ def _demo_designs():
     linter is supposed to catch — see :mod:`repro.analysis.demo`."""
     from repro.analysis.demo import (
         build_blind_forwarder_design,
-        build_broken_wake_design,
         build_escaped_domain_design,
         build_idle_liar_design,
         build_leaky_eject_design,
@@ -86,7 +85,6 @@ def _demo_designs():
     return {
         "fig5a": lambda: Fig5Design("a"),
         "fig5b": lambda: Fig5Design("b"),
-        "broken_wake": build_broken_wake_design,
         "idle_liar": build_idle_liar_design,
         "leaky_eject": build_leaky_eject_design,
         "step_parity": build_step_parity_design,
@@ -122,17 +120,17 @@ def _split_passes(passes, sanitize: bool, error) -> tuple[list | None,
     return static, (dynamic if sanitize else [])
 
 
-def _parse_combos(specs) -> list[tuple[str, str, str]] | None:
-    """``kernel/mesh/tile`` strings -> combo tuples (None: defaults)."""
+def _parse_combos(specs) -> list[tuple[str, str]] | None:
+    """``mesh/tile`` strings -> combo tuples (None: defaults)."""
     if not specs:
         return None
     combos = []
     for spec in specs:
         parts = spec.split("/")
-        if len(parts) != 3 or not all(parts):
+        if len(parts) != 2 or not all(parts):
             raise ValueError(
-                f"bad combo {spec!r}: expected kernel/mesh/tile, "
-                "e.g. scheduled/flat/flat")
+                f"bad combo {spec!r}: expected mesh/tile, "
+                "e.g. flat/flat")
         combos.append(tuple(parts))
     return combos
 
@@ -216,8 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tools.lint",
         description="Analysis of Beehive designs: topology (BHV1xx), "
-                    "routing/deadlock (BHV2xx), kernel wake contracts "
-                    "(BHV3xx), data-flow routing (BHV5xx), and — with "
+                    "routing/deadlock (BHV2xx), kernel quiescence "
+                    "contracts (BHV3xx), data-flow routing (BHV5xx), and — with "
                     "--sanitize — simulation-backed sanitizers "
                     "(BHV4xx).",
     )
@@ -238,8 +236,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only this pass (repeatable). static: "
                              "structural, deadlock, wake-contract, "
                              "dataflow; sanitize (needs --sanitize): "
-                             "idle-truth, lost-wake, conservation, "
-                             "determinism")
+                             "idle-truth, conservation, determinism")
     parser.add_argument("--sanitize", action="store_true",
                         help="also run the dynamic sanitizer passes "
                              "(bounded instrumented simulations)")
@@ -247,10 +244,10 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="simulated cycles per sanitizer run "
                              f"(default {DEFAULT_CYCLES})")
-    parser.add_argument("--combos", action="append", metavar="K/M/T",
-                        help="kernel/mesh/tile combo for the sanitizer "
-                             "(repeatable), e.g. scheduled/flat/flat; "
-                             "default: scheduled over both backends")
+    parser.add_argument("--combos", action="append", metavar="M/T",
+                        help="mesh/tile combo for the sanitizer "
+                             "(repeatable), e.g. flat/flat; default: "
+                             "flat/flat and object/object")
     args = parser.parse_args(argv)
 
     if args.list_codes:

@@ -108,8 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-admission", type=int, default=64,
                         help="NIC backlog limit before overrun "
                              "(default 64)")
-    parser.add_argument("--kernel", default="scheduled",
-                        help="simulation kernel (default scheduled)")
     parser.add_argument("--mesh", default="flat",
                         help="mesh backend (default flat)")
     parser.add_argument("--tile", default="flat",
@@ -135,8 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         result = run_competing_flows(
             cc=args.cc, n_flows=args.flows, loss=args.loss,
             stream_bytes=args.stream_bytes, seed=args.seed,
-            kernel=args.kernel, mesh_backend=args.mesh,
-            tile_backend=args.tile)
+            mesh_backend=args.mesh, tile_backend=args.tile)
         _print_flows(result)
         if args.out:
             Path(args.out).write_text(
@@ -150,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                    warmup_cycles=args.warmup,
                    zipf_keys=args.zipf_keys, zipf_skew=args.zipf_skew,
                    max_admission=args.max_admission,
-                   kernel=args.kernel, mesh_backend=args.mesh,
-                   tile_backend=args.tile)
+                   mesh_backend=args.mesh, tile_backend=args.tile)
     _print_sweep(result)
     if args.out:
         document = sweep_document(result)

@@ -9,7 +9,7 @@ Live mode builds a design (XML path or builtin name), attaches a
 trace tool does, and redraws a frame per sample: a link-utilization
 heatmap of the mesh, per-tile occupancy (queue depths against their
 high-water marks), latency percentiles with a sparkline, and the
-kernel's scheduling stats.  With a TTY and curses the frame repaints
+kernel's clock stats.  With a TTY and curses the frame repaints
 in place; otherwise (or with ``--plain``) frames print sequentially.
 
 Replay mode renders a recorded snapshot series (``probe.write(path)``
@@ -152,9 +152,7 @@ def render_frame(series: SnapshotSeries, index: int) -> str:
     kernel = snapshot.get("kernel") or {}
     if kernel:
         lines.append(
-            f"kernel[{kernel.get('kernel', '?')}]: "
-            f"{kernel.get('active', 0)}/{kernel.get('components', 0)} "
-            f"active, {kernel.get('armed_timers', 0)} timers, "
+            f"kernel: {kernel.get('components', 0)} components, "
             f"{kernel.get('idle_cycles_skipped', 0)} idle skipped, "
             f"{kernel.get('component_steps', 0)} steps"
         )

@@ -1,7 +1,7 @@
 """Tests for ``repro.faults``: deterministic fault injection.
 
 Covers the plan builder's validation, the null-plan fast path, every
-wire impairment, tile freeze/crash with kernel-wake-safe resume, NoC
+wire impairment, tile freeze/crash with skip-safe resume, NoC
 link stalls and flit corruption, fault telemetry (tracer events and
 the design report), the wall-clock run budget, and the two end-to-end
 recovery claims: TCP delivers a full byte stream through 1% wire loss,
@@ -172,11 +172,11 @@ class TestTileFaults:
         assert counters["tile.freeze"] == 1
         assert counters["tile.thaw"] == 1
 
-    def test_frozen_tile_resumes_under_scheduled_kernel(self):
-        """Kernel-wake-safe resume: with idle-skip active, the thaw
-        must wake the tile even though nothing else is scheduled."""
+    def test_frozen_tile_resumes_across_idle_skip(self):
+        """Skip-safe resume: with idle-skip active, the thaw must land
+        and re-wake the tile even though nothing else is scheduled."""
         plan = FaultPlan(seed=1).freeze_tile("app", at=10, duration=3000)
-        design, sink = echo_design(plan, kernel="scheduled")
+        design, sink = echo_design(plan)
         inject_echoes(design, count=3, gap=10)
         design.sim.run(8000)
         assert sink.count == 3
@@ -256,9 +256,20 @@ class TestFaultTelemetry:
         assert "fault injections:" not in design_report(design)
 
 
+class _Spinner:
+    def step(self, cycle):
+        pass
+
+    def commit(self):
+        pass
+
+
 class TestWallClockBudget:
     def test_budget_raises(self):
-        design, _sink = echo_design(None, kernel="naive")
+        design, _sink = echo_design(None)
+        # A component without is_idle keeps the clock ticking every
+        # cycle (an idle design would jump straight to max_cycles).
+        design.sim.add(_Spinner())
         with pytest.raises(WallClockBudgetExceeded):
             design.sim.run_until(lambda: False, max_cycles=10**9,
                                  wall_clock_budget_s=0.05)

@@ -2,7 +2,7 @@
 
 The cross-backend bit-identity is pinned by
 ``test_kernel_equivalence``; these tests cover the core's own API —
-adoption, fast/object mode classification, views, wake plumbing,
+adoption, fast/object mode classification, views, busy-bit hooks,
 ``register_tiles`` validation — and the structural-lint interplay
 (double-stepping an adopted tile is a BHV106).
 """
@@ -104,16 +104,13 @@ class TestScheduling:
         assert len(design.eth_tx.frames_out) == 1
         assert core.is_idle()
 
-    def test_kernel_weight_matches_tile_count(self):
-        design = echo_design(tile_backend="flat")
-        assert design.tile_core.kernel_weight == len(design.tiles)
-
-    def test_substeps_and_wake_sources_cover_all_tiles(self):
+    def test_substeps_and_busy_hooks_cover_all_tiles(self):
         design = echo_design(tile_backend="flat")
         core = design.tile_core
         assert core.kernel_substeps() == design.tiles
-        assert core.wake_sources() == \
-            [t.port.eject_fifo for t in design.tiles]
+        # Every adopted tile's ejection FIFO sets that tile's busy bit.
+        for tile in design.tiles:
+            assert tile.port.eject_fifo._wakers == [tile._kernel_wake]
 
 
 class TestLintIntegration:

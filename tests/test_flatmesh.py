@@ -1,11 +1,10 @@
-"""Unit tests for the flat (array-of-struct) mesh backend and the
-kernel knobs that ship with it.
+"""Unit tests for the flat (array-of-struct) mesh backend.
 
 The heavyweight correctness bar — bit-identity with the object mesh
-across every shipped design, kernel, and trace stream — lives in
+across every shipped design, drive, and trace stream — lives in
 ``test_kernel_equivalence.py``; these tests pin the backend's local
 contracts: the factory, the view adapters, raw flit traffic, the
-late-attach wake path, and the new ``CycleSimulator`` kwargs.
+late-attach path, and the ``CycleSimulator`` backend kwargs.
 """
 
 import pytest
@@ -92,11 +91,12 @@ class TestFlatMeshStructure:
             mesh.attach((5, 5))
 
 
-def _run_raw_traffic(backend, kernel, cycles=200):
+def _run_raw_traffic(backend, drive, cycles=200):
     """Send two multi-flit messages corner-to-corner and return every
-    observable outcome."""
+    observable outcome.  ``drive`` is ``"tick"`` (every cycle stepped)
+    or ``"run"`` (idle cycles skipped)."""
     reset_id_counters()
-    sim = CycleSimulator(kernel=kernel, mesh_backend=backend)
+    sim = CycleSimulator(mesh_backend=backend)
     mesh = build_mesh(3, 3, backend=backend)
     src = mesh.attach((0, 0))
     dst = mesh.attach((2, 2))
@@ -107,7 +107,10 @@ def _run_raw_traffic(backend, kernel, cycles=200):
                         data=bytes(64)))
     received = []
     for _ in range(cycles):
-        sim.run(1)
+        if drive == "tick":
+            sim.tick()
+        else:
+            sim.run(1)
         message = dst.receive()
         if message is not None:
             received.append(
@@ -125,14 +128,14 @@ def _run_raw_traffic(backend, kernel, cycles=200):
 
 
 class TestRawTraffic:
-    @pytest.mark.parametrize("kernel", ["naive", "scheduled"])
-    def test_flat_matches_object(self, kernel):
-        flat = _run_raw_traffic("flat", kernel)
-        obj = _run_raw_traffic("object", kernel)
+    @pytest.mark.parametrize("drive", ["tick", "run"])
+    def test_flat_matches_object(self, drive):
+        flat = _run_raw_traffic("flat", drive)
+        obj = _run_raw_traffic("object", drive)
         assert flat == obj
 
     def test_messages_arrive_intact(self):
-        out = _run_raw_traffic("flat", "scheduled")
+        out = _run_raw_traffic("flat", "run")
         assert [m[1] for m in out["received"]] == ["hello", "again"]
         assert out["received"][0][2] == bytes(range(130))
         assert out["total_flits"] > 0
@@ -142,14 +145,14 @@ class TestLateAttach:
     @pytest.mark.parametrize("backend", ["object", "flat"])
     def test_port_attached_after_register_still_works(self, backend):
         """The managed design attaches its controller port after
-        ``mesh.register``; the flat core must adopt (and wake for)
-        such a port without it ever entering the simulator."""
+        ``mesh.register``; the flat core must adopt (and step) such a
+        port without it ever entering the simulator."""
         reset_id_counters()
-        sim = CycleSimulator(kernel="scheduled", mesh_backend=backend)
+        sim = CycleSimulator(mesh_backend=backend)
         mesh = build_mesh(2, 2, backend=backend)
         early = mesh.attach((0, 0))
         mesh.register(sim)
-        sim.run(50)  # everything idle: the kernel is asleep
+        sim.run(50)  # everything idle: one jump over all 50 cycles
         late = mesh.attach((1, 1))
         if not mesh.steps_ports:
             sim.add(late)
@@ -177,49 +180,11 @@ class TestLateAttach:
 class TestKernelKwargs:
     def test_defaults(self):
         sim = CycleSimulator()
-        assert sim.saturation_threshold == 0.25
         assert sim.mesh_backend == "object"
-        # The adaptive prune cadence starts at its floor.
-        assert sim.prune_interval == 32
-
-    def test_explicit_values_survive(self):
-        sim = CycleSimulator(saturation_threshold=0.5,
-                             prune_interval=100)
-        assert sim.saturation_threshold == 0.5
-        assert sim.prune_interval == 100
-        mesh = build_mesh(8, 8, backend="flat")
-        mesh.register(sim)
-        assert sim.prune_interval == 100  # explicit => never adapted
-
-    def test_prune_interval_starts_at_floor_regardless_of_size(self):
-        # The cadence is adaptive (driven by what pruning ticks find at
-        # runtime, see tests/test_adaptive_prune.py), not derived from
-        # design size: registration leaves it at the floor.
-        small = CycleSimulator()
-        build_mesh(2, 2, backend="flat").register(small)
-        big = CycleSimulator()
-        build_mesh(16, 16, backend="flat").register(big)
-        assert small.prune_interval == 32
-        assert big.prune_interval == 32
-
-    def test_flat_core_weight_counts_routers_and_ports(self):
-        mesh = build_mesh(4, 4, backend="flat")
-        assert mesh.core.kernel_weight == 16
-        mesh.attach((0, 0))
-        mesh.attach((3, 3))
-        assert mesh.core.kernel_weight == 18
+        assert sim.tile_backend == "object"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CycleSimulator(saturation_threshold=-0.1)
-        with pytest.raises(ValueError):
-            CycleSimulator(prune_interval=0)
-        with pytest.raises(ValueError):
             CycleSimulator(mesh_backend="vapor")
-
-    def test_saturation_threshold_zero_disables_idle_skip_bypass(self):
-        # threshold 0 -> the bypass fires whenever anything is active,
-        # which must not change results (covered by equivalence); here
-        # just pin that it is accepted and reported.
-        sim = CycleSimulator(saturation_threshold=0.0)
-        assert sim.saturation_threshold == 0.0
+        with pytest.raises(ValueError):
+            CycleSimulator(tile_backend="vapor")

@@ -1,13 +1,14 @@
-"""Differential tests: the scheduled kernel must be cycle-exact.
+"""Differential tests: skipping idle stretches must be cycle-exact.
 
 Every shipped design is driven with identical traffic under every
-(kernel, mesh backend, tile backend) combination — ``kernel="naive"``
-(the exhaustive reference scheduler) vs ``kernel="scheduled"``
-(activity scheduling with idle-skip), crossed with
+(drive, mesh backend, tile backend) combination — drive ``"tick"``
+(``run``/``run_until`` reduced to a plain per-cycle ``tick()`` loop,
+the reference that never skips) vs ``"run"`` (the kernel's jump over
+stretches where every component is idle), crossed with
 ``mesh_backend="object"|"flat"`` (per-router components vs the
 array-of-struct batch core) and ``tile_backend="object"|"flat"``
-(per-tile schedule entries vs the flat tile engine) — and the
-complete observable state is compared:
+(per-tile components vs the flat tile engine) — and the complete
+observable state is compared:
 
 - per-tile counters (messages/bytes in and out, drops with reasons)
   and per-router flit counts;
@@ -15,11 +16,11 @@ complete observable state is compared:
 - the full trace event streams (tile spans, injection spans, drops,
   per-link flit and stall events, buffer levels, trace horizon).
 
-Any scheduling or batching bug — a missed wake, a late timer, a
-reordered step, a flit moved through the wrong arbitration order —
-shows up as a diff here, which is the correctness bar both refactors
-are held to (an optimisation that changes results is a different
-simulator, not a faster one).
+Any skipping or batching bug — an ``is_idle`` that lies, a late
+``next_event_cycle``, a reordered step, a flit moved through the wrong
+arbitration order — shows up as a diff here, which is the correctness
+bar every optimisation is held to (an optimisation that changes
+results is a different simulator, not a faster one).
 """
 
 import pytest
@@ -48,26 +49,27 @@ from repro.apps.vr.tile import MSG_PREPARE, PrepareWire
 from repro.tcp.peer import SoftTcpPeer
 from repro.telemetry import design_counters
 from repro.telemetry.trace import Tracer, attach_tracer
+from tests.drives import driven
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
-# (kernel, mesh_backend, tile_backend) — the first combo is the
-# reference: exhaustive scheduler, per-object routers, per-object tiles.
+# (drive, mesh_backend, tile_backend) — the first combo is the
+# reference: per-cycle ticks, per-object routers, per-object tiles.
 COMBOS = (
-    ("naive", "object", "object"),
-    ("scheduled", "object", "object"),
-    ("naive", "flat", "object"),
-    ("scheduled", "flat", "object"),
-    ("naive", "object", "flat"),
-    ("scheduled", "object", "flat"),
-    ("naive", "flat", "flat"),
-    ("scheduled", "flat", "flat"),
+    ("tick", "object", "object"),
+    ("run", "object", "object"),
+    ("tick", "flat", "object"),
+    ("run", "flat", "object"),
+    ("tick", "object", "flat"),
+    ("run", "object", "flat"),
+    ("tick", "flat", "flat"),
+    ("run", "flat", "flat"),
 )
 
 
 def fingerprint(design, sink, tracer):
     """Everything observable about a finished run, comparable across
-    kernels."""
+    drives and backends."""
     counters = design_counters(design)
     return {
         "cycle": design.sim.cycle,
@@ -89,14 +91,14 @@ def fingerprint(design, sink, tracer):
 
 
 def run_both(scenario):
-    """Run ``scenario(kernel, backend, tiles)`` under every combo,
-    resetting
+    """Run ``scenario(backend, tiles)`` under every combo, resetting
     the global id counters so packet/message ids (and the spans keyed
     by them) compare equal."""
     results = {}
-    for combo in COMBOS:
+    for drive, backend, tiles in COMBOS:
         reset_id_counters()
-        results[combo] = scenario(*combo)
+        with driven(drive):
+            results[(drive, backend, tiles)] = scenario(backend, tiles)
     return results
 
 
@@ -110,7 +112,7 @@ def assert_equivalent(scenario):
         for key in reference:
             assert reference[key] == candidate[key], (
                 f"divergence in {key!r} under "
-                f"kernel={combo[0]!r} mesh_backend={combo[1]!r} "
+                f"drive={combo[0]!r} mesh_backend={combo[1]!r} "
                 f"tile_backend={combo[2]!r}"
             )
 
@@ -124,12 +126,11 @@ def echo_frame(design, payload, sport=5555, port=7):
 class TestUdpEchoEquivalence:
     def test_idle_heavy_paced_traffic(self):
         """10% line rate: mostly idle cycles — the idle-skip sweet
-        spot, and exactly where a wrong wake would surface."""
+        spot, and exactly where a lying is_idle would surface."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -147,12 +148,11 @@ class TestUdpEchoEquivalence:
 
     def test_saturating_traffic(self):
         """Saturation: no idle cycles, contention and backpressure
-        everywhere — checks the active-set path under load."""
+        everywhere — checks the per-cycle path under load."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=None,
-                                   kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -172,10 +172,9 @@ class TestUdpEchoEquivalence:
         """Bursts separated by thousand-cycle gaps: each gap is an
         idle-skip; each burst must land on the exact cycle."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -197,10 +196,9 @@ class TestUdpEchoEquivalence:
     def test_mixed_drops_and_misses(self):
         """Frames for the wrong port/MAC exercise the drop paths."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -219,10 +217,9 @@ class TestUdpEchoEquivalence:
 
 class TestLoggedEchoEquivalence:
     def test_logged_echo(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = LoggedUdpEchoDesign(udp_port=7,
                                          line_rate_bytes_per_cycle=50.0,
-                                         kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -243,9 +240,8 @@ class TestTcpEquivalence:
         """A full TCP session: handshake, request/response transfer,
         retransmission timers — the richest timer workload we have."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = TcpServerDesign(tcp_port=5000, request_size=16,
-                                     kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -273,10 +269,9 @@ class TestVxlanEquivalence:
     INNER_MAC = MacAddress("02:aa:00:00:00:01")
 
     def test_overlay_echo(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = VxlanEchoDesign(vni=7700, udp_port=7,
                                      line_rate_bytes_per_cycle=50.0,
-                                     kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_overlay_peer(self.INNER_IP, self.INNER_MAC,
                                     self.REMOTE_VTEP_IP,
@@ -305,9 +300,8 @@ class TestVxlanEquivalence:
 
 class TestMultiStackEquivalence:
     def test_two_stacks_flow_spread(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = MultiStackDesign(stacks=2, udp_port=7,
-                                      kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -332,10 +326,9 @@ class TestMultiStackEquivalence:
 
 class TestRsEquivalence:
     def test_round_robin_encode(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = RsDesign(instances=4,
                               line_rate_bytes_per_cycle=50.0,
-                              kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -371,10 +364,9 @@ class TestVrEquivalence:
         )
 
     def test_witness_shards(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = VrWitnessDesign(shards=2,
                                      line_rate_bytes_per_cycle=50.0,
-                                     kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(self.LEADER_IP, self.LEADER_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -395,9 +387,8 @@ class TestVrEquivalence:
 
 class TestScaledEchoEquivalence:
     def test_many_apps(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = ScaledEchoDesign(n_apps=8, udp_port=7,
-                                      kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -420,10 +411,9 @@ class TestNatEquivalence:
     CLIENT_PHYS_IP = IPv4Address("10.0.0.1")
 
     def test_nat_echo(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = NatEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.map_client(self.CLIENT_VIRT_IP,
                               self.CLIENT_PHYS_IP, CLIENT_MAC)
@@ -448,7 +438,7 @@ class TestFaultEquivalence:
     """Active fault plans must not break cycle-exactness: the wire
     impairments draw from seeded streams at the inject boundary and
     the NoC faults act on the shared LocalPort staging, so every
-    (kernel, backend) combo observes the bit-identical fault stream."""
+    (drive, backend) combo observes the bit-identical fault stream."""
 
     def _fault_fingerprint(self, design, sink, tracer):
         fp = fingerprint(design, sink, tracer)
@@ -461,13 +451,13 @@ class TestFaultEquivalence:
     def test_wire_impairments(self):
         from repro.faults import FaultPlan
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             plan = FaultPlan(seed=0xD1CE).wire(
                 drop=0.2, corrupt=0.1, duplicate=0.15, reorder=0.2,
                 delay=0.3)
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel, mesh_backend=backend,
+                                   mesh_backend=backend,
                                    tile_backend=tiles, fault_plan=plan)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -485,7 +475,7 @@ class TestFaultEquivalence:
     def test_tile_and_noc_faults(self):
         from repro.faults import FaultPlan
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             plan = (FaultPlan(seed=0xD1CE)
                     .freeze_tile("app", at=300, duration=800)
                     .crash_tile("eth_rx", at=20, duration=100)
@@ -493,7 +483,7 @@ class TestFaultEquivalence:
                     .corrupt_flits(0.3, coords=[(2, 0)]))
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel, mesh_backend=backend,
+                                   mesh_backend=backend,
                                    tile_backend=tiles, fault_plan=plan)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -509,13 +499,13 @@ class TestFaultEquivalence:
 
 
 class TestIdleSkipActuallyHappens:
-    """Equivalence is vacuous if the scheduled kernel never sleeps —
-    pin that the idle-heavy scenarios really do skip cycles."""
+    """Equivalence is vacuous if ``run`` never skips — pin that the
+    idle-heavy scenarios really do skip cycles, and that the reference
+    drive never does."""
 
-    def test_paced_udp_run_skips_most_cycles(self):
+    def _paced_run(self):
         design = UdpEchoDesign(udp_port=7,
-                               line_rate_bytes_per_cycle=50.0,
-                               kernel="scheduled")
+                               line_rate_bytes_per_cycle=50.0)
         design.add_client(CLIENT_IP, CLIENT_MAC)
         frame = echo_frame(design, b"x" * 64)
         source = FrameSource(design.inject, lambda i: frame,
@@ -525,28 +515,28 @@ class TestIdleSkipActuallyHappens:
         design.sim.add(sink)
         design.sim.run(6000)
         assert sink.count == 20
-        assert design.sim.idle_cycles_skipped > 3000
+        return design.sim.idle_cycles_skipped
 
-    def test_naive_kernel_never_skips(self):
-        design = UdpEchoDesign(udp_port=7, kernel="naive")
-        design.add_client(CLIENT_IP, CLIENT_MAC)
-        design.sim.run(500)
-        assert design.sim.idle_cycles_skipped == 0
+    def test_paced_udp_run_skips_most_cycles(self):
+        assert self._paced_run() > 3000
+
+    def test_tick_drive_never_skips(self):
+        with driven("tick"):
+            assert self._paced_run() == 0
 
 
 class TestProbedEquivalence:
     """An attached telemetry probe is read-only and timer-driven, so it
-    must neither break kernel x backend equivalence nor change any
-    observable of the run it samples (its wakes do bound the scheduled
-    kernel's idle skips — more wakeups, same cycles)."""
+    must neither break drive x backend equivalence nor change any
+    observable of the run it samples (its sample cycles do bound the
+    idle skips — shorter jumps, same cycles)."""
 
     def _scenario(self, probed):
         from repro.telemetry import attach_probe
 
-        def scenario(kernel, backend, tiles):
+        def scenario(backend, tiles):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
                                    mesh_backend=backend, tile_backend=tiles)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())

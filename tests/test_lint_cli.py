@@ -70,23 +70,20 @@ class TestPassFiltering:
         assert "BHV401" in out
 
     def test_mixed_families_one_invocation(self, capsys):
-        assert main(["broken_wake", "--sanitize",
+        assert main(["leaky_eject", "--sanitize",
                      "--pass", "wake-contract",
-                     "--pass", "lost-wake", "--cycles", "300"]) == 1
-        out = capsys.readouterr().out
-        assert "BHV301" in out and "BHV402" in out
+                     "--pass", "conservation", "--cycles", "300",
+                     "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passes"] == ["wake-contract",
+                                     "sanitize:conservation"]
+        assert {f["code"] for f in payload["findings"]} == {"BHV403"}
 
 
 class TestSanitize:
-    def test_broken_wake_caught_dynamically(self, capsys):
-        assert main(["broken_wake", "--sanitize",
-                     "--cycles", "400"]) == 1
-        out = capsys.readouterr().out
-        assert "BHV401" in out and "BHV402" in out
-
     def test_clean_design_stays_clean(self):
         assert main(["udp_echo", "--sanitize", "--cycles", "400",
-                     "--combos", "scheduled/flat/flat"]) == 0
+                     "--combos", "flat/flat"]) == 0
 
     def test_without_flag_no_simulation_runs(self, capsys):
         # idle_liar's bug is dynamic-only: without --sanitize the
@@ -96,7 +93,7 @@ class TestSanitize:
 
     def test_bad_combo_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["udp_echo", "--sanitize", "--combos", "scheduled"])
+            main(["udp_echo", "--sanitize", "--combos", "flat"])
         assert excinfo.value.code == 2
         assert "bad combo" in capsys.readouterr().err
 
@@ -107,24 +104,25 @@ class TestSanitize:
         assert "--cycles" in capsys.readouterr().err
 
     def test_explicit_combo_respected(self, capsys):
-        # step_parity only diverges against a naive-kernel run.  Two
-        # scheduled combos agree with each other; a single combo is
-        # paired with the naive reference and exposes the bug.
+        # step_parity only diverges against an idle-skipping run.  Two
+        # combos are both ticked and agree with each other; a single
+        # combo is paired with its own idle-skipping run and exposes
+        # the bug.
         assert main(["step_parity", "--sanitize", "--cycles", "400",
-                     "--combos", "scheduled/object/object",
-                     "--combos", "scheduled/flat/flat"]) == 0
+                     "--combos", "object/object",
+                     "--combos", "flat/flat"]) == 0
         capsys.readouterr()
         assert main(["step_parity", "--sanitize", "--cycles", "400",
-                     "--combos", "scheduled/object/object"]) == 1
+                     "--combos", "object/object"]) == 1
         assert "BHV404" in capsys.readouterr().out
 
 
 class TestJson:
     def test_round_trip_single_target(self, capsys):
-        assert main(["broken_wake", "--json"]) == 1
+        assert main(["fig5a", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["target"] == "broken_wake"
-        assert any(f["code"] == "BHV301"
+        assert payload["target"] == "fig5a"
+        assert any(f["code"] == "BHV201"
                    for f in payload["findings"])
 
     def test_round_trip_with_sanitize(self, capsys):
@@ -152,6 +150,6 @@ class TestListing:
     def test_list_codes_includes_new_families(self, capsys):
         assert main(["--list-codes"]) == 0
         out = capsys.readouterr().out
-        for code in ("BHV401", "BHV402", "BHV403", "BHV404",
+        for code in ("BHV401", "BHV403", "BHV404",
                      "BHV501", "BHV502", "BHV503", "BHV504"):
             assert code in out

@@ -6,7 +6,7 @@ law), unit tests pin the ``OpenLoopSource`` admission boundary, a
 regression test drives ``FrameSource`` at twice line rate, and the
 sweep tests pin the acceptance shape: a monotone goodput curve that
 saturates at the knee with the p999 tail blowing up past it —
-byte-identical across runs and across kernel x mesh x tile backends.
+byte-identical across runs, drives and mesh x tile backends.
 """
 
 import json
@@ -22,6 +22,7 @@ from repro.loadgen.arrivals import (
 )
 from repro.loadgen.source import OVERRUN_REASON, OpenLoopSource
 from repro.sim.rng import SeededStreams
+from tests.drives import driven
 
 MEAN = 100.0
 N_GAPS = 5000
@@ -320,17 +321,21 @@ class TestSweep:
         assert json.dumps(a, sort_keys=True) == \
             json.dumps(b, sort_keys=True)
 
-    @pytest.mark.parametrize("kernel,mesh,tile", [
-        ("naive", "object", "object"),
-        ("naive", "flat", "flat"),
-        ("scheduled", "object", "flat"),
-        ("scheduled", "flat", "object"),
-    ])
-    def test_sweep_identical_across_backends(self, kernel, mesh, tile):
+    # "naive" drives the point with per-cycle ticks, "scheduled" with
+    # plain run(); the reference is the default flat/flat run().
+    @pytest.mark.parametrize("drive,mesh,tile", [
+        ("tick", "object", "object"),
+        ("tick", "flat", "flat"),
+        ("run", "object", "flat"),
+        ("run", "flat", "object"),
+    ], ids=["naive-object-object", "naive-flat-flat",
+            "scheduled-object-flat", "scheduled-flat-object"])
+    def test_sweep_identical_across_backends(self, drive, mesh, tile):
         from repro.loadgen.sweep import run_point
         reference = run_point(30.0, **self.POINT_KWARGS)
-        other = run_point(30.0, kernel=kernel, mesh_backend=mesh,
-                          tile_backend=tile, **self.POINT_KWARGS)
+        with driven(drive):
+            other = run_point(30.0, mesh_backend=mesh,
+                              tile_backend=tile, **self.POINT_KWARGS)
         assert json.dumps(other, sort_keys=True) == \
             json.dumps(reference, sort_keys=True)
 

@@ -110,14 +110,14 @@ class TestPrometheusExport:
     def test_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("noc.flits_forwarded", "flits").inc(1234)
-        registry.gauge("kernel.active_components").set(7)
+        registry.gauge("noc.busy_routers").set(7)
         hist = registry.histogram("latency.e2e_cycles")
         for value in (10, 20, 30, 4000):
             hist.record(value)
         text = prometheus_text(registry)
         parsed = parse_prometheus_text(text)
         assert parsed["repro_noc_flits_forwarded_total"] == 1234
-        assert parsed["repro_kernel_active_components"] == 7
+        assert parsed["repro_noc_busy_routers"] == 7
         assert parsed["repro_latency_e2e_cycles_count"] == 4
         assert parsed["repro_latency_e2e_cycles_sum"] == 4060
         inf_key = 'repro_latency_e2e_cycles_bucket{le="+Inf"}'

@@ -1,5 +1,5 @@
 """NoC soak tests: randomised traffic, conservation, and fairness,
-plus a seeded fault-soak crossing kernels and mesh backends."""
+plus a seeded fault-soak crossing drives and mesh backends."""
 
 import random
 
@@ -110,20 +110,20 @@ class TestNocSoak:
 
 
 class TestFaultSoak:
-    """Seeded chaos soak across every (kernel, mesh backend) combo.
+    """Seeded chaos soak across every (drive, mesh backend) combo.
 
     The fault hooks live at shared boundaries — the inject wire and
     the tile-side LocalPort — so an identical FaultPlan must produce
     a bit-identical run (egress frames, tile counters, fault log)
     whether the mesh is the object graph or the flat array core, and
-    whether the kernel sweeps every component or idle-skips.
+    whether the run ticks every cycle or idle-skips.
     """
 
     COMBOS = (
-        ("naive", "object"),
-        ("scheduled", "object"),
-        ("naive", "flat"),
-        ("scheduled", "flat"),
+        ("tick", "object"),
+        ("run", "object"),
+        ("tick", "flat"),
+        ("run", "flat"),
     )
 
     @pytest.mark.parametrize("seed", [11, 29, 47])
@@ -163,16 +163,19 @@ class TestFaultSoak:
                 design.inject(frame, cycle)
                 cycle += rng.choice((1, 3, 40, 200))
 
-        def run(kernel, backend):
+        def run(drive, backend):
             reset_id_counters()
-            design = UdpEchoDesign(udp_port=7, kernel=kernel,
-                                   mesh_backend=backend,
+            design = UdpEchoDesign(udp_port=7, mesh_backend=backend,
                                    fault_plan=plan())
             design.add_client(client_ip, client_mac)
             sink = FrameSink(design.eth_tx)
             design.sim.add(sink)
             traffic(design)
-            design.sim.run(15_000)
+            if drive == "tick":
+                for _ in range(15_000):
+                    design.sim.tick()
+            else:
+                design.sim.run(15_000)
             assert sink.malformed == 0
             counters = design_counters(design)
             return {
@@ -189,5 +192,5 @@ class TestFaultSoak:
             for key in reference:
                 assert reference[key] == candidate[key], (
                     f"fault-soak divergence in {key!r} under "
-                    f"kernel={combo[0]!r} mesh_backend={combo[1]!r}"
+                    f"drive={combo[0]!r} mesh_backend={combo[1]!r}"
                 )

@@ -16,7 +16,6 @@ import pytest
 from repro.analysis import SANITIZE_PASSES, analyze, analyze_dynamic
 from repro.analysis.demo import (
     build_blind_forwarder_design,
-    build_broken_wake_design,
     build_escaped_domain_design,
     build_idle_liar_design,
     build_leaky_eject_design,
@@ -26,7 +25,6 @@ from repro.analysis.demo import (
 )
 from repro.analysis.sanitize import (
     DEFAULT_COMBOS,
-    NAIVE_REFERENCE,
     build_design,
     conservation_ledger,
     default_traffic,
@@ -55,7 +53,7 @@ class TestCleanDesigns:
         plan = FaultPlan(seed=3).wire(drop=0.02, corrupt=0.02)
         report = analyze_dynamic(UdpEchoDesign, name="udp_echo",
                                  cycles=600,
-                                 combos=[("scheduled", "flat", "flat")],
+                                 combos=[("flat", "flat")],
                                  fault_plan=plan)
         assert report.findings == [], report.render()
 
@@ -63,26 +61,8 @@ class TestCleanDesigns:
         from repro.designs import TcpServerDesign
         report = analyze_dynamic(TcpServerDesign, name="tcp_server",
                                  cycles=600,
-                                 combos=[("scheduled", "object",
-                                          "object")])
+                                 combos=[("object", "object")])
         assert report.findings == [], report.render()
-
-
-class TestBrokenWake:
-    """The canonical lost-wakeup design: static BHV301 plus dynamic
-    BHV401/BHV402 — the sanitizer catching at runtime what the wake
-    pass predicts at lint time."""
-
-    def test_static_pass_predicts(self):
-        report = analyze(build_broken_wake_design(), name="broken_wake")
-        assert "BHV301" in codes_of(report)
-
-    def test_sanitizer_confirms_dynamically(self):
-        report = analyze_dynamic(build_broken_wake_design,
-                                 name="broken_wake", cycles=400)
-        codes = codes_of(report)
-        assert "BHV401" in codes
-        assert "BHV402" in codes
 
 
 class TestIdleLiar:
@@ -112,17 +92,16 @@ class TestLeakyEject:
 
 
 class TestStepParity:
-    COMBOS = [("scheduled", "object", "object"), NAIVE_REFERENCE]
-
     def test_bhv404_under_kernel_divergence(self):
+        # One combo: ticked vs the kernel's idle-skipping run.
         report = analyze_dynamic(build_step_parity_design,
                                  name="step_parity", cycles=400,
-                                 combos=self.COMBOS)
+                                 combos=[("object", "object")])
         assert codes_of(report) == ["BHV404"]
         assert report.findings[0].data["first_divergent_cycle"] >= 0
 
     def test_clean_under_default_combos(self):
-        # Both default combos run the scheduled kernel, where the
+        # Two combos are compared ticked against each other, where the
         # step-count-dependent behaviour is self-consistent.
         report = analyze_dynamic(build_step_parity_design,
                                  name="step_parity", cycles=400)
@@ -168,8 +147,7 @@ class TestPassSelection:
     def test_unselected_pass_cannot_fire(self):
         report = analyze_dynamic(build_leaky_eject_design,
                                  name="leaky_eject", cycles=400,
-                                 passes=["idle-truth", "lost-wake",
-                                         "determinism"])
+                                 passes=["idle-truth", "determinism"])
         assert report.findings == [], report.render()
 
     def test_unknown_pass_raises(self):
@@ -202,7 +180,7 @@ class TestConservationLedger:
 
     def test_detects_off_books_loss(self):
         design = build_design(build_leaky_eject_design,
-                              ("scheduled", "object", "object"))
+                              ("object", "object"))
         design.send()
         for _ in range(50):
             design.sim.tick()
@@ -213,22 +191,21 @@ class TestConservationLedger:
 
 class TestBuildDesign:
     def test_passes_full_combo_to_shipped_designs(self):
-        design = build_design(UdpEchoDesign, ("naive", "flat", "flat"))
-        assert design.sim.kernel == "naive"
+        design = build_design(UdpEchoDesign, ("flat", "object"))
         assert design.sim.mesh_backend == "flat"
+        assert design.sim.tile_backend == "object"
 
     def test_drops_unsupported_kwargs_for_fixtures(self):
-        # Fixture builders accept only ``kernel``; the backend kwargs
-        # must be silently retried away, not crash the run.
-        design = build_design(build_idle_liar_design,
-                              ("scheduled", "flat", "flat"))
-        assert design.sim.kernel == "scheduled"
+        # Fixture builders take no backend kwargs; they must be
+        # silently retried away, not crash the run.
+        design = build_design(build_idle_liar_design, ("flat", "flat"))
+        assert design.sim.mesh_backend == "object"
 
     def test_unrelated_type_errors_still_raise(self):
         def bad_factory(**kwargs):
             raise TypeError("completely unrelated failure")
         with pytest.raises(TypeError, match="unrelated"):
-            build_design(bad_factory, ("scheduled", "object", "object"))
+            build_design(bad_factory, ("object", "object"))
 
 
 class TestDefaultTraffic:

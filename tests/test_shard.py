@@ -5,6 +5,8 @@ column bands, each hosting a full per-shard simulator, and exchanging
 boundary flits once per cycle behind the 1-cycle link lookahead must
 be *bit-identical* to the single-process reference — same frames at
 the same cycles, same counters, same (canonically ordered) traces.
+The equivalence cases hold under both drives: "naive" ticks every
+cycle, "scheduled" is plain ``run()``, which jumps idle spans.
 
 Trace canonicalisation: one shared tracer records all shards' events
 at correct cycles; only within-cycle interleaving differs across K, so
@@ -25,12 +27,12 @@ from repro.sim.shard import ShardedSimulator, make_simulator
 from repro.telemetry import design_counters
 from repro.telemetry.probe import attach_probe
 from repro.telemetry.trace import Tracer, attach_tracer
+from tests.drives import DRIVE_PARAMS, driven
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
-COMBOS = [(kernel, mesh, tile)
-          for kernel in ("scheduled", "naive")
+COMBOS = [(mesh, tile)
           for mesh in ("object", "flat")
           for tile in ("object", "flat")]
 
@@ -41,13 +43,13 @@ def echo_frame(design, payload, sport=5555, port=7):
                                 sport, port, payload)
 
 
-def run_echo(kernel, mesh_backend, tile_backend, shards,
+def run_echo(mesh_backend, tile_backend, shards,
              saturate=False, count=30, cycles=6000):
     reset_id_counters()
     design = UdpEchoDesign(udp_port=7,
                            line_rate_bytes_per_cycle=(
                                None if saturate else 50.0),
-                           kernel=kernel, mesh_backend=mesh_backend,
+                           mesh_backend=mesh_backend,
                            tile_backend=tile_backend, shards=shards)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     frame = echo_frame(design, b"x" * 200)
@@ -132,31 +134,37 @@ class TestFactory:
 class TestEquivalenceMatrix:
     """Pinned-seed runs at K=2/4 bit-identical to the K=1 reference."""
 
-    @pytest.mark.parametrize("kernel,mesh_backend,tile_backend", COMBOS)
-    def test_idle_heavy_k2(self, kernel, mesh_backend, tile_backend):
-        ref = run_echo(kernel, mesh_backend, tile_backend, 1)
-        assert ref["count"] == 30
-        assert run_echo(kernel, mesh_backend, tile_backend, 2) == ref
+    @pytest.mark.parametrize("mesh_backend,tile_backend", COMBOS)
+    @pytest.mark.parametrize("drive", DRIVE_PARAMS)
+    def test_idle_heavy_k2(self, drive, mesh_backend, tile_backend):
+        with driven(drive):
+            ref = run_echo(mesh_backend, tile_backend, 1)
+            assert ref["count"] == 30
+            assert run_echo(mesh_backend, tile_backend, 2) == ref
 
-    @pytest.mark.parametrize("kernel,mesh_backend,tile_backend",
-                             [("scheduled", "flat", "flat"),
-                              ("scheduled", "object", "object"),
-                              ("naive", "flat", "object")])
-    def test_saturated_k2_and_k4(self, kernel, mesh_backend,
+    @pytest.mark.parametrize("drive,mesh_backend,tile_backend",
+                             [("run", "flat", "flat"),
+                              ("run", "object", "object"),
+                              ("tick", "flat", "object")],
+                             ids=["scheduled-flat-flat",
+                                  "scheduled-object-object",
+                                  "naive-flat-object"])
+    def test_saturated_k2_and_k4(self, drive, mesh_backend,
                                  tile_backend):
-        ref = run_echo(kernel, mesh_backend, tile_backend, 1,
-                       saturate=True)
-        assert ref["count"] == 30
-        for shards in (2, 4):
-            got = run_echo(kernel, mesh_backend, tile_backend, shards,
+        with driven(drive):
+            ref = run_echo(mesh_backend, tile_backend, 1,
                            saturate=True)
-            assert got == ref, f"K={shards} diverged"
+            assert ref["count"] == 30
+            for shards in (2, 4):
+                got = run_echo(mesh_backend, tile_backend, shards,
+                               saturate=True)
+                assert got == ref, f"K={shards} diverged"
 
     def test_same_k_runs_are_deterministic(self):
         # Full equality, msg_ids included: the per-shard namespaces
         # are themselves deterministic.
-        first = run_echo("scheduled", "flat", "flat", 4, saturate=True)
-        second = run_echo("scheduled", "flat", "flat", 4, saturate=True)
+        first = run_echo("flat", "flat", 4, saturate=True)
+        second = run_echo("flat", "flat", 4, saturate=True)
         assert first == second
 
     def test_logged_design_k2(self):
@@ -164,7 +172,7 @@ class TestEquivalenceMatrix:
             reset_id_counters()
             design = LoggedUdpEchoDesign(
                 udp_port=7, line_rate_bytes_per_cycle=50.0,
-                kernel="scheduled", mesh_backend="flat",
+                mesh_backend="flat",
                 tile_backend="flat", shards=shards)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             frame = echo_frame(design, b"l" * 120)
@@ -186,7 +194,6 @@ class TestEquivalenceMatrix:
         def run(shards, bounds=None):
             reset_id_counters()
             design = ScaledEchoDesign(n_apps=16, width=8, height=4,
-                                      kernel="scheduled",
                                       mesh_backend="flat",
                                       tile_backend="flat",
                                       shards=shards,
@@ -236,16 +243,18 @@ def trace_fingerprint(tracer):
 
 
 class TestTracedEquivalence:
-    @pytest.mark.parametrize("kernel,backend",
-                             [("scheduled", "flat"),
-                              ("scheduled", "object"),
-                              ("naive", "flat")])
-    def test_merged_trace_streams_identical(self, kernel, backend):
+    @pytest.mark.parametrize("drive,backend",
+                             [("run", "flat"),
+                              ("run", "object"),
+                              ("tick", "flat")],
+                             ids=["scheduled-flat", "scheduled-object",
+                                  "naive-flat"])
+    def test_merged_trace_streams_identical(self, drive, backend):
         def run(shards):
             reset_id_counters()
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel, mesh_backend=backend,
+                                   mesh_backend=backend,
                                    tile_backend=backend, shards=shards)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -262,9 +271,10 @@ class TestTracedEquivalence:
             fingerprint["cycle"] = design.sim.cycle
             return fingerprint
 
-        ref = run(1)
-        for shards in (2, 4):
-            assert run(shards) == ref, f"K={shards} diverged"
+        with driven(drive):
+            ref = run(1)
+            for shards in (2, 4):
+                assert run(shards) == ref, f"K={shards} diverged"
 
 
 class TestFaultSoak:
@@ -284,7 +294,6 @@ class TestFaultSoak:
                     .corrupt_flits(0.02, coords=[(3, 0)]))
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel="scheduled",
                                    mesh_backend=backend,
                                    tile_backend=backend,
                                    fault_plan=plan, shards=shards)
@@ -315,7 +324,6 @@ class TestProbedRun:
             reset_id_counters()
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel="scheduled",
                                    mesh_backend="flat",
                                    tile_backend="flat", shards=shards)
             design.add_client(CLIENT_IP, CLIENT_MAC)
@@ -349,7 +357,7 @@ class TestTelemetrySurface:
         reset_id_counters()
         design = UdpEchoDesign(udp_port=7,
                                line_rate_bytes_per_cycle=None,
-                               kernel="scheduled", mesh_backend="flat",
+                               mesh_backend="flat",
                                tile_backend="flat", shards=2)
         design.add_client(CLIENT_IP, CLIENT_MAC)
         design.inject(echo_frame(design, b"t" * 64), 0)
@@ -367,7 +375,7 @@ class TestMultiprocessTransport:
         reset_id_counters()
         design = UdpEchoDesign(udp_port=7,
                                line_rate_bytes_per_cycle=None,
-                               kernel="scheduled", mesh_backend="flat",
+                               mesh_backend="flat",
                                tile_backend="flat", shards=shards,
                                shard_transport=transport)
         design.add_client(CLIENT_IP, CLIENT_MAC)
@@ -417,6 +425,6 @@ class TestMultiprocessTransport:
         with pytest.raises(RuntimeError):
             UdpEchoDesign(udp_port=7,
                           line_rate_bytes_per_cycle=None,
-                          kernel="scheduled", mesh_backend="flat",
+                          mesh_backend="flat",
                           tile_backend="flat", fault_plan=plan,
                           shards=2, shard_transport="mp")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import CycleSimulator, StagedFifo, Wakeable
+from repro.sim.kernel import CycleSimulator, StagedFifo
 
 
 class Counter:
@@ -163,14 +163,16 @@ class TestCycleSimulator:
         sim.run(4)
         assert seen == [(1, 0), (2, 1), (3, 2)]
 
-    def test_unknown_kernel_rejected(self):
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            CycleSimulator(kernel="turbo")
+            CycleSimulator(mesh_backend="vapor")
+        with pytest.raises(ValueError):
+            CycleSimulator(tile_backend="vapor")
 
 
-class SleepyConsumer(Wakeable):
+class SleepyConsumer:
     """Test component honouring the quiescence contract: drains a FIFO,
-    sleeps while it is empty."""
+    idle while it is empty."""
 
     def __init__(self, fifo):
         self.fifo = fifo
@@ -185,22 +187,21 @@ class SleepyConsumer(Wakeable):
     def commit(self):
         self.fifo.commit()
 
-    def wake_sources(self):
-        return (self.fifo,)
-
     def is_idle(self):
         return not self.fifo._items and not self.fifo._staged
 
 
-class Alarm(Wakeable):
+class Alarm:
     """Test component that self-schedules: fires every ``period``."""
 
     def __init__(self, period):
         self.period = period
         self.fired = []
+        self.steps = 0
         self._next = period
 
     def step(self, cycle):
+        self.steps += 1
         if cycle >= self._next:
             self.fired.append(cycle)
             self._next = cycle + self.period
@@ -215,39 +216,59 @@ class Alarm(Wakeable):
         return self._next
 
 
+class EarlyAlarm(Alarm):
+    """An Alarm whose ``next_event_cycle`` names a cycle well before
+    its real event — safe, just not skipped as far."""
+
+    def next_event_cycle(self):
+        return self._next - 7
+
+
 class TestScheduledKernel:
+    """The one rule: ``tick`` steps everything; ``run``/``run_until``
+    skip only while every component is idle, landing on the earliest
+    ``next_event_cycle``."""
+
     def test_idle_component_is_not_stepped(self):
-        sim = CycleSimulator(kernel="scheduled")
-        fifo = StagedFifo()
-        consumer = SleepyConsumer(fifo)
+        sim = CycleSimulator()
+        consumer = SleepyConsumer(StagedFifo())
         sim.add(consumer)
         sim.run(100)
-        # Stepped once (cycle 0), found nothing, slept for the rest.
-        assert consumer.steps == 1
-        assert sim.idle_cycles_skipped == 99
+        # Idle from cycle 0 with nothing scheduled: one jump to the end.
+        assert consumer.steps == 0
+        assert sim.idle_cycles_skipped == 100
+
+    def test_skip_only_when_all_idle(self):
+        sim = CycleSimulator()
+        consumer = SleepyConsumer(StagedFifo())
+        busy = Counter()
+        sim.add(consumer)
+        sim.add(busy)
+        sim.run(50)
+        # ``busy`` has no contract, so the idle consumer is stepped too.
+        assert consumer.steps == busy.steps == 50
+        assert sim.idle_cycles_skipped == 0
 
     def test_fifo_push_wakes_consumer(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         fifo = StagedFifo()
         consumer = SleepyConsumer(fifo)
         sim.add(consumer)
         sim.run(10)
-        assert consumer.steps == 1
         fifo.push("ping")  # external injection mid-quiescence
         sim.run(10)
-        # Woken: the push commits, the consumer drains it next step.
+        # Not idle any more: the push commits, the consumer drains it
+        # next step, then the clock jumps again.
         assert consumer.drained == [(11, "ping")]
-        # ...then goes back to sleep instead of being stepped 10 times.
-        assert consumer.steps <= 3
+        assert consumer.steps == 2
+        assert sim.cycle == 20
 
     def test_same_cycle_push_commits_on_schedule(self):
-        """A producer stepping before a sleeping consumer wakes it in
-        time for the consumer's FIFO to commit that same cycle — so the
-        item is visible exactly one cycle after the push, as under the
-        naive kernel."""
+        """A producer's push is visible to the consumer exactly one
+        cycle later, whether the run ticks or skips."""
         results = {}
-        for kernel in ("naive", "scheduled"):
-            sim = CycleSimulator(kernel=kernel)
+        for drive in ("tick", "run"):
+            sim = CycleSimulator()
             fifo = StagedFifo()
             consumer = SleepyConsumer(fifo)
 
@@ -259,48 +280,64 @@ class TestScheduledKernel:
                 def commit(self):
                     pass
 
+                def is_idle(self):
+                    return True
+
+                def next_event_cycle(self):
+                    return 5
+
             sim.add(Producer())
             sim.add(consumer)
-            sim.run(20)
-            results[kernel] = consumer.drained
-        assert results["naive"] == results["scheduled"] == [(6, "x")]
+            if drive == "tick":
+                for _ in range(20):
+                    sim.tick()
+            else:
+                sim.run(20)
+                assert sim.idle_cycles_skipped > 0
+            results[drive] = consumer.drained
+        assert results["tick"] == results["run"] == [(6, "x")]
 
-    def test_timer_wheel_wakes_self_scheduling_component(self):
-        sim = CycleSimulator(kernel="scheduled")
+    def test_skip_lands_on_next_event_cycle(self):
+        sim = CycleSimulator()
         alarm = Alarm(period=25)
         sim.add(alarm)
         sim.run(100)
         assert alarm.fired == [25, 50, 75]
-        assert sim.idle_cycles_skipped > 0
+        # Stepped exactly at each event cycle, never in between.
+        assert alarm.steps == 3
+        assert sim.idle_cycles_skipped == 97
 
-    def test_timer_matches_naive_schedule(self):
-        naive = CycleSimulator(kernel="naive")
+    def test_run_matches_tick_loop(self):
+        ticked = CycleSimulator()
         a1 = Alarm(period=7)
-        naive.add(a1)
-        naive.run(60)
-        sched = CycleSimulator(kernel="scheduled")
+        ticked.add(a1)
+        for _ in range(60):
+            ticked.tick()
+        skipping = CycleSimulator()
         a2 = Alarm(period=7)
-        sched.add(a2)
-        sched.run(60)
+        skipping.add(a2)
+        skipping.run(60)
         assert a1.fired == a2.fired
+        assert a1.steps == 60 and a2.steps == len(a2.fired)
 
     def test_idle_skip_advances_clock_exactly(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         sim.add(SleepyConsumer(StagedFifo()))
         sim.run(1000)
         assert sim.cycle == 1000
 
-    def test_naive_kernel_steps_everything(self):
-        sim = CycleSimulator(kernel="naive")
-        fifo = StagedFifo()
-        consumer = SleepyConsumer(fifo)
+    def test_tick_steps_everything(self):
+        sim = CycleSimulator()
+        consumer = SleepyConsumer(StagedFifo())
         sim.add(consumer)
-        sim.run(50)
+        for _ in range(50):
+            sim.tick()
         assert consumer.steps == 50
         assert sim.idle_cycles_skipped == 0
+        assert sim.component_steps == 50
 
     def test_component_without_contract_always_stepped(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         comp = Counter()
         sim.add(comp)
         sim.run(50)
@@ -308,51 +345,38 @@ class TestScheduledKernel:
         assert sim.idle_cycles_skipped == 0
 
     def test_run_until_skips_and_still_times_out(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         sim.add(SleepyConsumer(StagedFifo()))
         with pytest.raises(TimeoutError):
             sim.run_until(lambda: False, max_cycles=500)
         assert sim.cycle == 500
 
     def test_run_until_condition_met_via_timer(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         alarm = Alarm(period=40)
         sim.add(alarm)
         consumed = sim.run_until(lambda: alarm.fired, max_cycles=1000)
         assert alarm.fired == [40]
-        assert consumed <= 41
-
-    def test_explicit_wake_api(self):
-        sim = CycleSimulator(kernel="scheduled")
-        fifo = StagedFifo()
-        consumer = SleepyConsumer(fifo)
-        sim.add(consumer)
-        sim.run(10)
-        before = consumer.steps
-        sim.wake(consumer)
-        sim.run(1)
-        assert consumer.steps == before + 1
+        assert consumed == 41
 
     def test_wake_early_is_harmless(self):
-        """Waking an idle component early must not change behaviour —
-        its step is a no-op and it re-idles."""
-        sim = CycleSimulator(kernel="scheduled")
-        alarm = Alarm(period=30)
+        """A ``next_event_cycle`` earlier than the real event must not
+        change behaviour — the jump stops short and the clock ticks."""
+        sim = CycleSimulator()
+        alarm = EarlyAlarm(period=30)
         sim.add(alarm)
-        sim.run(10)
-        sim.wake(alarm)
-        sim.run(90)
+        sim.run(100)
         assert alarm.fired == [30, 60, 90]
+        assert sim.idle_cycles_skipped > 0
 
 
 class TestRunUntilExactness:
     """run_until must observe the condition at the exact cycle it
     first becomes true, even when that cycle falls in the middle of an
-    idle-skipped stretch (ROADMAP: predicates were previously only
-    evaluated at wake boundaries)."""
+    idle-skipped stretch."""
 
     def test_predicate_mid_idle_stretch_not_overshot(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         sim.add(SleepyConsumer(StagedFifo()))
         # Fully quiescent design: without re-evaluation the skip would
         # jump straight to max_cycles and overshoot to 10_000.
@@ -362,7 +386,7 @@ class TestRunUntilExactness:
         assert consumed == 337
 
     def test_predicate_between_timer_wakes(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         alarm = Alarm(period=100)
         sim.add(alarm)
         # 250 lies strictly inside the idle stretch (200, 300).
@@ -371,14 +395,14 @@ class TestRunUntilExactness:
         assert alarm.fired == [100, 200]
 
     def test_predicate_at_stretch_start_consumes_nothing_extra(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         sim.add(SleepyConsumer(StagedFifo()))
         sim.run(42)
         assert sim.run_until(lambda: sim.cycle >= 42) == 0
         assert sim.cycle == 42
 
-    def test_naive_kernel_semantics_unchanged(self):
-        sim = CycleSimulator(kernel="naive")
+    def test_contractless_design_steps_every_cycle(self):
+        sim = CycleSimulator()
         comp = Counter()
         sim.add(comp)
         consumed = sim.run_until(lambda: sim.cycle >= 7)
@@ -386,8 +410,41 @@ class TestRunUntilExactness:
         assert comp.steps == 7
 
     def test_timeout_still_raised_when_never_true(self):
-        sim = CycleSimulator(kernel="scheduled")
+        sim = CycleSimulator()
         sim.add(SleepyConsumer(StagedFifo()))
         with pytest.raises(TimeoutError):
             sim.run_until(lambda: False, max_cycles=123)
         assert sim.cycle == 123
+
+
+class TestSanitizedTick:
+    """The sanitizer's entry point hands components to the observer
+    exactly at the cycles ``run`` would skip."""
+
+    class Recorder:
+        def __init__(self):
+            self.shadowed = []
+
+        def shadow_step(self, component, cycle):
+            self.shadowed.append(cycle)
+            component.step(cycle)
+
+    def test_shadow_steps_only_skippable_cycles(self):
+        sim = CycleSimulator()
+        alarm = Alarm(period=10)
+        sim.add(alarm)
+        observer = self.Recorder()
+        for _ in range(25):
+            sim.sanitized_tick(observer)
+        assert observer.shadowed == [c for c in range(25)
+                                     if c not in (10, 20)]
+        assert alarm.fired == [10, 20]
+        assert sim.cycle == 25
+
+    def test_busy_design_never_shadowed(self):
+        sim = CycleSimulator()
+        sim.add(Counter())
+        observer = self.Recorder()
+        for _ in range(10):
+            sim.sanitized_tick(observer)
+        assert observer.shadowed == []

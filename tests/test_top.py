@@ -21,9 +21,8 @@ def make_series():
     series = SnapshotSeries(interval=100, design="test")
     series.append({
         "cycle": 100,
-        "kernel": {"kernel": "scheduled", "components": 4, "active": 2,
-                   "armed_timers": 0, "idle_cycles_skipped": 10,
-                   "component_steps": 123},
+        "kernel": {"cycle": 100, "components": 4,
+                   "idle_cycles_skipped": 10, "component_steps": 123},
         "links": {"(0, 0)->east": 40, "(1, 0)->local": 12},
         "busy_routers": 2,
         "total_flits": 52,
@@ -81,7 +80,8 @@ class TestDeterminism:
         assert "a " in text and "b " in text
         assert "wire.drop=2" in text
         assert "last transit=95" in text
-        assert "kernel[scheduled]" in text
+        assert "kernel: 4 components, 10 idle skipped, 123 steps" \
+            in text
 
 
 class TestCli:
