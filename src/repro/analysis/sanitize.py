@@ -363,6 +363,9 @@ def conservation_ledger(mesh: object) -> dict[str, int]:
     happen after ejection, so the identity is exact: the machinery
     never loses a flit inside the fabric.
     """
+    core = getattr(mesh, "core", None)
+    if hasattr(core, "settle"):
+        core.settle()
     ports = list(mesh.ports.values())
     injected = sum(port.flits_injected for port in ports)
     ejected = sum(port.flits_ejected for port in ports)
@@ -413,6 +416,7 @@ def _tiles_list(design: object) -> list[object]:
 def _cycle_digest(design: object) -> int:
     """A cheap per-cycle digest over the design's observable totals."""
     parts: list[int] = []
+    design.sim.settle()
     mesh = getattr(design, "mesh", None)
     if mesh is not None:
         parts.append(mesh.total_flits_forwarded)

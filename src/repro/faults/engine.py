@@ -249,6 +249,10 @@ class FaultEngine:
 
     def step(self, cycle: int) -> None:
         events = self._events
+        if self._next < len(events) and events[self._next][0] <= cycle:
+            # Faults act on flit-level state (buffers, stalled ports):
+            # bring any express train up to date first.
+            self.sim.settle()
         while self._next < len(events) and events[self._next][0] <= cycle:
             _, _, action = events[self._next]
             self._next += 1

@@ -37,11 +37,44 @@ and ports inside its own step (busy bitmasks).  It reports
 really steps inside it.  ``is_idle`` is true only when every ring,
 LOCAL input, injection queue, and staged ejection is empty — the
 conjunction of the object backend's per-component contracts.
+
+Express wormholes
+-----------------
+
+A multi-flit message whose path is *streaming* — every stage from the
+source port's LOCAL input through each directional ring to the
+destination's ejection FIFO holds exactly one flit of it, and every
+output on the path is granted to it — moves one flit per stage per
+cycle until the source injects its tail, and nothing else can touch
+the path meanwhile: each output grant is held, each ring is fed only by
+the held output upstream of it, the port injects only this message, and
+a head that wants a held output waits either way.  So when a head is
+granted the ejection output into a fast-path tile
+(:mod:`repro.tiles.flatcore`, which pops one flit per cycle), the core
+checks the path at the cycle's commit and, if it streams, lifts the
+in-flight flits out as a :class:`_Train`: the stages look empty to the
+step loop (routers and tile skip them for free) and the source port
+stops injecting.  The port is handed back the cycle it injects the
+tail, and the net effect of the frozen cycles is applied in one bulk
+step (:meth:`FlatMeshCore._thaw`) before the router phase of the first
+cycle in which an output the tail released could be granted again.
+From there the last flits finish per flit.
+
+Message- and frame-level state stays exact on every cycle; flit-level
+state (port and router flit counters, ring and FIFO contents, the
+destination's ``_buffered_flits`` and assembler) is exact only after
+:meth:`FlatMeshCore.settle`, which ``run``/``run_until`` call on return
+and every flit-level reader (``design_counters``, the probe, the
+sanitizer, fault toggles, ``attach_tracer``) calls first.  Trains never
+form under a recording tracer, in a band core of a sharded mesh, on a
+path through a router, port or tile with a fault hook armed, or into
+an object-mode tile.
 """
 
 from __future__ import annotations
 
 from repro.noc.mesh import LocalPort
+from repro.noc.message import FlitStream
 from repro.noc.router import (
     _ALL_PORTS,
     _N_PORTS,
@@ -59,6 +92,13 @@ _EAST = 1
 _WEST = 2
 _NORTH = 3
 _SOUTH = 4
+
+#: Fewest flits still to inject for which freezing a path pays: a
+#: train saves one cycle of path work per pending flit but costs a
+#: path walk to form and a bulk step to thaw.
+_MIN_TRAIN_FLITS = 4
+#: ``_train_due`` while no train is live (later than any cycle).
+_NEVER = 1 << 62
 
 
 class _RingView:
@@ -78,11 +118,14 @@ class _RingView:
         self.name = name
 
     def __len__(self) -> int:
-        return self._core._counts[self._fid]
+        core = self._core
+        core.settle()
+        return core._counts[self._fid]
 
     @property
     def occupancy(self) -> int:
         core = self._core
+        core.settle()
         return core._counts[self._fid] + core._stageds[self._fid]
 
     @property
@@ -91,6 +134,7 @@ class _RingView:
 
     def peek(self):
         core = self._core
+        core.settle()
         if not core._counts[self._fid]:
             return None
         return core._queues[self._fid][core._heads[self._fid]]
@@ -150,10 +194,12 @@ class FlatRouterView:
 
     @property
     def flits_forwarded(self) -> int:
+        self._core.settle()
         return self._core._fwd[self._index]
 
     @property
     def flits_per_output(self) -> dict[Port, int]:
+        self._core.settle()
         base = self._index * _N_PORTS
         fwd_out = self._core._fwd_out
         return {port: fwd_out[base + port_index]
@@ -190,6 +236,63 @@ class _FlatEgress:
         self.visible = 0
 
 
+class _Train:
+    """One frozen streaming message (see "Express wormholes" above).
+
+    The freeze empties the path's stages — the ejection FIFO, each ring
+    from the destination back towards the source (``rings``), then the
+    source's LOCAL input — and leaves the rest of the message in the
+    source port's flit ``stream``, which rebuilds any flit the thaw
+    needs: flit ``k`` of the train (0 = the ejection FIFO's at the
+    freeze, ``last`` = the tail) is wire flit ``base + k``.  ``outs``
+    are the held output fids, one per router on the path, from the
+    destination back.  ``c0`` is the cycle whose commit froze the path
+    and ``tail_at`` the cycle the source injects the tail; the train
+    then detaches the port (``phase`` 1), re-arms its injection the
+    cycle after (``phase`` 2) and thaws at ``end``, before the tail's
+    first released output can be granted again.  ``buffered`` counts
+    the destination's flit pops already charged to its
+    ``_buffered_flits`` (see :meth:`sync_buffer`).
+    """
+
+    __slots__ = ("port", "source", "local", "lfid", "rbit", "rings",
+                 "outs", "tcore", "index", "tile", "stream", "base",
+                 "last", "c0", "tail_at", "end", "phase", "due",
+                 "buffered")
+
+    def __init__(self, port, source, local, lfid, rbit, rings, outs,
+                 tcore, index, c0):
+        self.port = port
+        self.source = source
+        self.local = local
+        self.lfid = lfid
+        self.rbit = rbit
+        self.rings = rings
+        self.outs = outs
+        self.tcore = tcore
+        self.index = index
+        self.tile = tcore.tiles[index]
+        stream = self.stream = port._pending_flits
+        lifted = len(rings) + 2
+        self.base = stream.next - len(stream) - lifted
+        self.last = lifted + stream.remaining - 1
+        self.c0 = c0
+        self.tail_at = self.due = c0 + stream.remaining
+        # One router: the destination pops the tail two cycles after
+        # its injection, so the thaw must come first.
+        self.end = self.tail_at + min(2, len(outs))
+        self.phase = 0
+        self.buffered = 0
+
+    def sync_buffer(self, cycle: int) -> None:
+        """Charge the destination's flit pops up to ``cycle`` to its
+        ``_buffered_flits`` — its service completion at ``cycle``
+        subtracts from (and clamps) the per-flit value."""
+        pops = cycle - self.c0
+        self.tile._buffered_flits += pops - self.buffered
+        self.buffered = pops
+
+
 class FlatMeshCore:
     """The entire mesh as one clocked component.
 
@@ -202,6 +305,9 @@ class FlatMeshCore:
 
     name = "flatmesh.core"
     tracer = NULL_TRACER
+    #: Express wormholes on (see the module docstring).  Only the
+    #: differential tests switch this off, for a per-flit reference.
+    _express = True
 
     def __init__(self, width: int, height: int, depth: int, route_fn,
                  x_offset: int = 0, full_width: int | None = None):
@@ -277,6 +383,13 @@ class FlatMeshCore:
         self._down_router: list[int] = [
             fid // _N_PORTS if fid >= 0 else -1 for fid in self._down
         ]
+        # The inverse wiring: the output fid feeding each ring (-1 for
+        # LOCAL slots and cut edges) — the express path walk's step
+        # from a ring back to the router upstream of it.
+        self._up: list[int] = [-1] * n5
+        for ofid, fid in enumerate(self._down):
+            if fid >= 0:
+                self._up[fid] = ofid
         # Cached output request of each input's current head flit:
         # the out-port index for a head flit, -1 for a body flit, -2
         # for "recompute" (head changed or unknown).  fid base+LOCAL
@@ -291,7 +404,9 @@ class FlatMeshCore:
         # dst_index = dst_y * width + dst_x.
         self._route_rows: list[list[int] | None] = [None] * n
         # Occupancy: per-router ring total (committed + staged) for the
-        # per-router skip, and the mesh-wide total for is_idle.
+        # per-router skip, and the mesh-wide total for is_idle (which
+        # keeps counting the flits an express train lifts off its
+        # rings).
         self._ring_occ: list[int] = [0] * n
         self._ring_total = 0
         # Busy bitmasks: bit r set iff router r may have work (ring
@@ -307,6 +422,10 @@ class FlatMeshCore:
         # Injection-phase companion: (port, local fid, local FIFO,
         # router busy bit) so the hot loops never re-derive the wiring.
         self._inj: list[tuple[LocalPort, int, StagedFifo, int]] = []
+        # Each port's wake hook and, by coordinate, its attachment
+        # index — where an express train's source is looked up.
+        self._inj_hooks: list = []
+        self._port_index: dict[tuple[int, int], int] = {}
         # Adapter FIFOs staged into this cycle; commit touches only
         # these instead of scanning every local/eject FIFO.  All
         # staging flows through the core (router pushes, inlined port
@@ -326,6 +445,25 @@ class FlatMeshCore:
         # deepest committed depth per directional input, updated in the
         # commit dirty loop so only rings written this cycle pay.
         self._hw: list[int] = [0] * n5
+        # Express wormholes (module docstring): live trains, the
+        # earliest cycle one is due to thaw, and the (tile core, tile
+        # index) destinations to check for a streaming path at the
+        # next commit.  ``_stepped``/``_committed`` are the last cycle
+        # stepped and the last committed, so a thaw knows how far into
+        # the current cycle it must bring the path.  A band core of a
+        # sharded mesh (or a mesh of 1-flit rings) never forms trains.
+        self._trains: list[_Train] = []
+        self._train_due = _NEVER
+        self._candidates: list[tuple] = []
+        # (tile core, tile index) of the fast-path tile behind each
+        # router's ejection FIFO, None where trains cannot end.
+        self._dests: list[tuple | None] = [None] * n
+        self._stepped = -1
+        self._committed = -1
+        if self.full_width != width or depth < 2:
+            # A ring must take a push while it holds a flit for a path
+            # to stream one flit per cycle.
+            self._express = False
 
     # -- wiring -----------------------------------------------------------
 
@@ -349,6 +487,14 @@ class FlatMeshCore:
             core._inj_mask |= bit
 
         port._kernel_wake = hook
+        self._inj_hooks.append(hook)
+        self._port_index[port.coord] = index
+
+    def add_express_dest(self, r: int, tcore, index: int) -> None:
+        """Let messages ejected at router ``r`` stream express into
+        tile ``index`` of the flat tile core ``tcore``."""
+        if self._express:
+            self._dests[r] = (tcore, index)
 
     def _route_row(self, r: int) -> list[int]:
         """Build (once) the dst -> out-port table for router ``r``.
@@ -391,6 +537,7 @@ class FlatMeshCore:
         return mask
 
     def set_misroute(self, r: int, enabled: bool) -> None:
+        self.settle()
         if enabled:
             if r in self._misrouted:
                 return
@@ -412,6 +559,7 @@ class FlatMeshCore:
 
     def set_fault_block(self, r: int, out_index: int,
                         blocked: bool) -> None:
+        self.settle()
         masks = self._fault_blocked
         if blocked:
             if masks is None:
@@ -439,7 +587,7 @@ class FlatMeshCore:
 
     def is_idle(self) -> bool:
         """Idle iff every object-backend mesh component would be."""
-        if self._ring_total:
+        if self._ring_total or self._trains:
             return False
         for fifo in self._local_in:
             if fifo._items or fifo._staged:
@@ -453,6 +601,9 @@ class FlatMeshCore:
     # -- per-cycle behaviour ----------------------------------------------
 
     def step(self, cycle: int) -> None:
+        if cycle >= self._train_due:
+            self._thaw_due(cycle)
+        self._stepped = cycle
         if not self._busy_mask and not self._inj_mask:
             return  # no router or port may have work
         # Local aliases: this loop is the simulator's hottest path.
@@ -483,6 +634,7 @@ class FlatMeshCore:
         width = self.full_width
         height = self.height
         egress = self._egress
+        dests = self._dests
         tracer = self.tracer
         traced = tracer.enabled
         fblocked = self._fault_blocked
@@ -712,6 +864,17 @@ class FlatMeshCore:
                         staged.append(flit)
                         for waker in eject._wakers:
                             waker()
+                        dest = dests[r]
+                        if dest is not None and not flit.is_tail:
+                            # A head reached its destination: if its
+                            # source still has flits to build, check at
+                            # commit whether the path streams.
+                            source = self._port_index.get(flit.src)
+                            if source is not None:
+                                pending = self._ports_list[
+                                    source]._pending_flits
+                                if pending.next < pending.end:
+                                    self._candidates.append(dest)
                     moved |= 1 << in_index
                     fwd[r] += 1
                     fwd_out[ofid] += 1
@@ -750,7 +913,7 @@ class FlatMeshCore:
                         self._inj_mask &= ~low
                         continue
                     message = send_queue.popleft()
-                    pending.extend(message.to_flits())
+                    pending = port._pending_flits = FlitStream(message)
                     port._injecting = message
                     port.messages_sent += 1
                     if port.tracer.enabled:
@@ -763,6 +926,9 @@ class FlatMeshCore:
                     staged.append(pending.popleft())
                     port.flits_injected += 1
                     if not pending:
+                        if pending.next < pending.end:
+                            pending.refill()
+                            continue
                         if port.tracer.enabled and \
                                 port._injecting is not None:
                             port.tracer.inject_end(cycle, port.coord,
@@ -820,6 +986,269 @@ class FlatMeshCore:
                 if len(eject._items) > eject.high_water:
                     eject.high_water = len(eject._items)
             dirty_eject.clear()
+        self._committed = self._stepped
+        if self._candidates:
+            self._form_trains()
+
+    # -- express wormholes (see the module docstring) ---------------------
+
+    def settle(self) -> None:
+        """Bring every live train's flit-level state up to date.
+
+        Exact at any point of a cycle: between ticks, or inside the
+        step phase after (or before) this core and the tile core have
+        stepped.  The destinations are queued again, so a path that
+        still streams re-forms its train at the next commit.
+        """
+        trains = self._trains
+        if not trains:
+            return
+        candidates = self._candidates
+        for train in trains:
+            self._thaw(train)
+            candidates.append((train.tcore, train.index))
+        trains.clear()
+        self._train_due = _NEVER
+
+    def _thaw_due(self, cycle: int) -> None:
+        """Advance the trains with an event at ``cycle`` (before this
+        cycle's router phase): the source injects the tail (detach
+        the port), may start its next message (re-arm it), or the
+        path must go back to per-flit stepping (thaw)."""
+        live = []
+        due = _NEVER
+        for train in self._trains:
+            if train.due <= cycle:
+                if not train.phase:
+                    self._detach(train)
+                elif train.phase == 1:
+                    self._inj_mask |= 1 << train.source
+                    train.phase = 2
+                    train.due = train.end
+                if train.end <= cycle:
+                    self._thaw(train)
+                    continue
+            live.append(train)
+            if train.due < due:
+                due = train.due
+        self._trains = live
+        self._train_due = due
+
+    def _detach(self, train: _Train) -> None:
+        """The source injects the tail this cycle: hand the port back
+        (its injection phase this cycle would have emptied it; it can
+        start its next message from the next cycle)."""
+        port = train.port
+        stream = train.stream
+        port.flits_injected += stream.remaining
+        stream.clear()
+        stream.next = stream.end
+        port._injecting = None
+        port._kernel_wake = self._inj_hooks[train.source]
+        train.phase = 1
+        train.due = train.tail_at + 1
+
+    def _form_trains(self) -> None:
+        """Freeze each queued destination's message if its path streams
+        (called at the end of ``commit``, on committed state only)."""
+        candidates = self._candidates
+        self._candidates = []
+        if not self._express or self.tracer.enabled:
+            return
+        for tcore, index in candidates:
+            train = self._freeze(tcore, index)
+            if train is not None:
+                self._trains.append(train)
+                if train.due < self._train_due:
+                    self._train_due = train.due
+
+    def _freeze(self, tcore, index: int) -> _Train | None:
+        """Lift a streaming message off its path, or None if the path
+        does not stream one flit per stage (or must stay per flit)."""
+        tile = tcore.tiles[index]
+        port = tile.port
+        eject = port.eject_fifo
+        items = eject._items
+        # The tile core must be stepping (every cycle, like this core),
+        # and the ejection FIFO must take a push while it holds a flit.
+        if (len(items) != 1 or eject._staged
+                or tcore._stepped != self._committed
+                or eject.capacity is not None and eject.capacity < 2
+                or tcore._inbound[index] is not None
+                or tile._fault_frozen or port.fault_stalled
+                or port._fault_eject is not None or tile.tracer.enabled):
+            return None
+        # The tile must pop this flit next cycle and one per cycle
+        # after: mid-message it always does; a head only if the buffer
+        # cap lets the message start.
+        flit = items[0]
+        assembler = port._assembler
+        msg_id = flit.msg_id
+        if flit.is_head:
+            if assembler._active or tile._buffered_flits >= tile.buffer_flits:
+                return None
+        elif not assembler._active or assembler._msg_id != msg_id:
+            return None
+        # Short messages never pay: check the source's backlog first.
+        source = self._port_index.get(flit.src)
+        if source is None or self._inj[source][0]._pending_flits.remaining \
+                < _MIN_TRAIN_FLITS:
+            return None
+        src_port, lfid, local, rbit = self._inj[source]
+        # Walk the held grants from the ejection output back to the
+        # source's LOCAL input; every ring on the way must hold exactly
+        # one committed flit of the message.
+        grant = self._grant
+        counts = self._counts
+        queues = self._queues
+        heads = self._heads
+        misrouted = self._misrouted
+        fblocked = self._fault_blocked
+        r = port.router._index
+        ofid = r * _N_PORTS
+        outs: list[int] = []
+        rings: list[int] = []
+        for _ in range(self.n_routers):
+            if r in misrouted or (fblocked is not None and r in fblocked):
+                return None
+            owner = grant[ofid]
+            if owner < 0:
+                return None
+            outs.append(ofid)
+            if not owner:
+                break
+            sfid = r * _N_PORTS + owner
+            if counts[sfid] != 1 or \
+                    queues[sfid][heads[sfid]].msg_id != msg_id:
+                return None
+            rings.append(sfid)
+            ofid = self._up[sfid]
+            if ofid < 0:
+                return None
+            r = ofid // _N_PORTS
+        else:
+            return None
+        if lfid != r * _N_PORTS:
+            return None  # the grants lead to another router's port
+        local_items = local._items
+        if len(local_items) != 1 or local._staged or \
+                local_items[0].msg_id != msg_id or local_items[0].is_tail \
+                or src_port.tracer.enabled:
+            return None
+        # Freeze: empty the stages (the step loop then skips them) and
+        # stop the source port until the thaw.  The lifted flits are
+        # dropped: the source's flit stream rebuilds any of them.
+        items.popleft()
+        ring_occ = self._ring_occ
+        for fid in rings:
+            queues[fid][heads[fid]] = None
+            counts[fid] = 0
+            ring_occ[fid // _N_PORTS] -= 1
+        local_items.popleft()
+        src_port._kernel_wake = None
+        self._inj_mask &= ~(1 << source)
+        train = _Train(src_port, source, local, lfid, rbit, rings, outs,
+                       tcore, index, self._committed)
+        tcore._inbound[index] = train
+        return train
+
+    def _thaw(self, train: _Train) -> None:
+        """Put a train's path back in the exact per-flit state.
+
+        ``moved`` path steps have run since the freeze, the last one
+        uncommitted when called inside a step phase (``staged``); the
+        destination has popped once per tile-core step (``popped``).
+        Stage ``i`` (0 = ejection FIFO, then the rings, then the LOCAL
+        input) holds train flit ``i + full`` — or, inside a step phase,
+        flit ``i + full + 1`` staged — unless that is past the tail
+        (only the LOCAL input can be, by then).  Output ``k`` has
+        forwarded ``min(moved, last - k)`` flits since the freeze and is
+        released once the tail is through (only the source router's
+        can be).
+        """
+        c0 = train.c0
+        moved = self._stepped - c0
+        full = self._committed - c0
+        staged = moved - full
+        popped = train.tcore._stepped - c0
+        stream = train.stream
+        flit = stream.flit
+        base = train.base
+        last = train.last
+        port = train.port
+        if not train.phase:
+            # The source: ``moved`` more flits taken.
+            port.flits_injected += moved
+            built = len(stream)
+            for _ in range(min(moved, built)):
+                stream.popleft()
+            if moved > built:
+                stream.next += moved - built
+            if not stream:
+                stream.refill()  # the tail at least is still to come
+            port._kernel_wake = self._inj_hooks[train.source]
+        self._inj_mask |= 1 << train.source
+        # The outputs.
+        fwd = self._fwd
+        fwd_out = self._fwd_out
+        grant = self._grant
+        gmask = self._gmask
+        busy = self._busy_mask
+        for k, ofid in enumerate(train.outs):
+            r = ofid // _N_PORTS
+            through = last - k
+            if moved < through:
+                fwd[r] += moved
+                fwd_out[ofid] += moved
+            else:
+                fwd[r] += through
+                fwd_out[ofid] += through
+                grant[ofid] = -1
+                gmask[r] &= ~(1 << (ofid - r * _N_PORTS))
+            busy |= 1 << r
+        self._busy_mask = busy
+        # The rings: a thaw comes at the latest one cycle after the
+        # tail leaves the LOCAL input, so every ring still holds a flit.
+        queues = self._queues
+        heads = self._heads
+        req = self._req
+        ring_occ = self._ring_occ
+        for i, fid in enumerate(train.rings, base + full + staged + 1):
+            queues[fid][heads[fid]] = flit(i)
+            if staged:
+                self._stageds[fid] = 1
+                self._dirty.append(fid)
+                self._popped.append(fid)
+            else:
+                self._counts[fid] = 1
+            req[fid] = -2
+            ring_occ[fid // _N_PORTS] += 1
+        # The source's LOCAL input, empty once the tail has left it (the
+        # source's next message may have entered it already).
+        held = len(train.rings) + 1 + full + staged
+        req[train.lfid] = -2
+        if held <= last:
+            if staged:
+                train.local._staged.append(flit(base + held))
+                self._dirty_local.append((train.lfid, train.local,
+                                          train.rbit))
+            else:
+                train.local._items.append(flit(base + held))
+        # The destination: its ejection FIFO, then the flits it popped.
+        tile = train.tile
+        tport = tile.port
+        eject = tport.eject_fifo
+        if popped <= full:
+            eject._items.append(flit(base + full))
+        if staged:
+            eject._staged.append(flit(base + full + 1))
+            self._dirty_eject.append(eject)
+        for waker in eject._wakers:
+            waker()
+        tport.flits_ejected += popped
+        tile._buffered_flits += popped - train.buffered
+        stream.feed(tport._assembler, base, base + popped)
+        train.tcore._inbound[train.index] = None
 
     # -- shard boundary hooks (repro.sim.shard) ---------------------------
 
@@ -867,6 +1296,7 @@ class FlatMeshCore:
 
     @property
     def total_flits_forwarded(self) -> int:
+        self.settle()
         return sum(self._fwd)
 
     @property

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.noc.flit import Flit
-from repro.noc.message import MessageAssembler, NocMessage
+from repro.noc.message import FlitStream, MessageAssembler, NocMessage
 from repro.noc.router import Router
 from repro.noc.routing import Port
 from repro.params import ROUTER_INPUT_FIFO_FLITS
@@ -51,7 +50,7 @@ class LocalPort(Wakeable):
         router.connect_output(Port.LOCAL, self.eject_fifo)
         self._local_in = router.inputs[Port.LOCAL]
         self._assembler = MessageAssembler()
-        self._pending_flits: deque[Flit] = deque()
+        self._pending_flits = FlitStream()
         self._send_queue: deque[NocMessage] = deque()
         self._injecting: NocMessage | None = None
         self.messages_sent = 0
@@ -88,17 +87,21 @@ class LocalPort(Wakeable):
     def step(self, cycle: int) -> None:
         if not self._pending_flits and self._send_queue:
             message = self._send_queue.popleft()
-            self._pending_flits.extend(message.to_flits())
+            self._pending_flits = FlitStream(message)
             self._injecting = message
             self.messages_sent += 1
             if self.tracer.enabled:
                 self.tracer.inject_start(cycle, self.coord, message)
-        if self._pending_flits:
+        pending = self._pending_flits
+        if pending:
             local_in = self._local_in
             if local_in.can_accept():
-                local_in.push_unchecked(self._pending_flits.popleft())
+                local_in.push_unchecked(pending.popleft())
                 self.flits_injected += 1
-                if not self._pending_flits:
+                if not pending:
+                    if pending.next < pending.end:
+                        pending.refill()
+                        return
                     if self.tracer.enabled and self._injecting is not None:
                         self.tracer.inject_end(cycle, self.coord,
                                                self._injecting)

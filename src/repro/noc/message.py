@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.noc.flit import Flit, FlitKind
 from repro.params import FLIT_BYTES, NOC_MAX_PAYLOAD_BYTES
+
+_HEADER = FlitKind.HEADER
+_METADATA = FlitKind.METADATA
+_DATA = FlitKind.DATA
 
 _msg_counter = itertools.count(1)
 _packet_counter = itertools.count(1)
@@ -123,37 +128,120 @@ class NocMessage:
         return 1 + self.n_meta_flits + self.n_data_flits
 
     def to_flits(self) -> list[Flit]:
-        """Encode as a wormhole-ready flit sequence.
+        """Encode as a wormhole-ready flit sequence."""
+        stream = FlitStream(self)
+        return [stream.flit(index) for index in range(stream.end)]
 
-        Saturated-path note: one call per message send, ~24 Flit
-        constructions at MTU — hence the hoisted locals and positional
-        construction (`Flit.__init__`'s exact field order).
+
+#: Flits a :class:`FlitStream` builds at a time: a short message all
+#: at once, a long one a few ahead of the port injecting it.
+STREAM_CHUNK = 4
+
+
+class FlitStream(deque):
+    """A message's wire flits, built a few at a time as a port takes
+    them.
+
+    A deque of the built flits not taken yet: ``popleft`` takes the
+    next one, and the stream is empty (false) exactly when the whole
+    message has been taken, provided whoever pops calls :meth:`refill`
+    when a pop empties it while ``next < end``.  Building every flit up
+    front would cost as much as moving them, and an express train
+    (:mod:`repro.noc.flatmesh`) carries most of a long message's body
+    without building those flits at all.  The message's fields are
+    captured at construction, so later changes to the message object
+    alter no flit still to come.  The empty stream (no message) is
+    what an idle port holds.
+    """
+
+    __slots__ = ("_dst", "_src", "_msg_id", "_metadata", "_data",
+                 "_n_meta", "_packet_id", "next", "end")
+
+    def __init__(self, message: NocMessage | None = None):
+        # (deque.__new__ already made the empty deque; nothing to pass
+        # deque.__init__.)
+        #: Wire index of the next flit to build, and the flit count.
+        self.next = self.end = 0
+        if message is None:
+            return
+        self._dst = message.dst
+        self._src = message.src
+        self._msg_id = message.msg_id
+        self._metadata = message.metadata
+        self._data = message.data
+        self._n_meta = message.n_meta_flits
+        self._packet_id = message.packet_id
+        self.end = (1 + self._n_meta
+                    + (len(self._data) + FLIT_BYTES - 1) // FLIT_BYTES)
+        self.refill()
+
+    def refill(self) -> None:
+        """Build the next few flits (call only while some are unbuilt).
+
+        Runs once per message for short ones, so the flit layout of
+        :meth:`flit` is inlined here (hoisted locals, positional
+        construction in ``Flit.__init__``'s field order).
         """
-        dst = self.dst
-        src = self.src
-        msg_id = self.msg_id
-        data = self.data
-        n_meta = self.n_meta_flits
-        n_data = (len(data) + FLIT_BYTES - 1) // FLIT_BYTES
-        flits = [Flit(FlitKind.HEADER, True, not (n_meta or n_data),
-                      dst, src, msg_id, None, self.packet_id)]
-        append = flits.append
-        if n_meta:
-            meta_kind = FlitKind.METADATA
-            last_meta = n_meta - 1
-            for i in range(n_meta):
-                append(Flit(meta_kind, False,
-                            i == last_meta and not n_data,
-                            dst, src, msg_id,
-                            self.metadata if i == 0 else None))
-        if n_data:
-            data_kind = FlitKind.DATA
-            last = n_data - 1
-            for i in range(n_data):
-                append(Flit(data_kind, False, i == last, dst, src,
-                            msg_id,
-                            data[i * FLIT_BYTES:(i + 1) * FLIT_BYTES]))
-        return flits
+        index = self.next
+        end = self.end
+        stop = min(index + STREAM_CHUNK, end)
+        self.next = stop
+        dst = self._dst
+        src = self._src
+        msg_id = self._msg_id
+        append = self.append
+        last = end - 1
+        if not index:
+            append(Flit(_HEADER, True, not last, dst, src, msg_id, None,
+                        self._packet_id))
+            index = 1
+        n_meta = self._n_meta
+        while index < stop and index <= n_meta:
+            append(Flit(_METADATA, False, index == last, dst, src, msg_id,
+                        self._metadata if index == 1 else None))
+            index += 1
+        if index < stop:
+            data = self._data
+            start = (index - 1 - n_meta) * FLIT_BYTES
+            for index in range(index, stop):
+                append(Flit(_DATA, False, index == last, dst, src, msg_id,
+                            data[start:start + FLIT_BYTES]))
+                start += FLIT_BYTES
+
+    @property
+    def remaining(self) -> int:
+        """Flits still to take, built or not."""
+        return len(self) + self.end - self.next
+
+    def flit(self, index: int) -> Flit:
+        """Build the flit at wire position ``index`` (0 = header):
+        header, metadata flit(s), then 64 B data slices."""
+        tail = index == self.end - 1
+        if not index:
+            return Flit(_HEADER, True, tail, self._dst, self._src,
+                        self._msg_id, None, self._packet_id)
+        n_meta = self._n_meta
+        if index <= n_meta:
+            return Flit(_METADATA, False, tail, self._dst, self._src,
+                        self._msg_id,
+                        self._metadata if index == 1 else None)
+        start = (index - 1 - n_meta) * FLIT_BYTES
+        return Flit(_DATA, False, tail, self._dst, self._src,
+                    self._msg_id, self._data[start:start + FLIT_BYTES])
+
+    def feed(self, assembler: MessageAssembler, start: int,
+             stop: int) -> None:
+        """Deliver body flits ``[start, stop)`` (none of them the
+        tail) to ``assembler`` as if pushed one by one, the data flits
+        among them as one contiguous chunk."""
+        n_meta = self._n_meta
+        while start < stop and start <= n_meta:
+            assembler.push(self.flit(start))
+            start += 1
+        if start < stop:
+            assembler._chunks.append(
+                self._data[(start - 1 - n_meta) * FLIT_BYTES:
+                           (stop - 1 - n_meta) * FLIT_BYTES])
 
 
 class MessageAssembler:

@@ -239,6 +239,9 @@ class CycleSimulator:
         self._idle_checks: list[Callable[[], bool]] = []
         self._event_checks: list[Callable[[], int | None]] = []
         self._never_idle = 0   # components without is_idle
+        # Components deferring flit-level state (repro.noc.flatmesh's
+        # express wormholes): their ``settle`` brings it up to date.
+        self._settles: list[Callable[[], None]] = []
         self.idle_cycles_skipped = 0
         self.component_steps = 0
 
@@ -259,6 +262,9 @@ class CycleSimulator:
 
     def add(self, component: ClockedComponent) -> None:
         self._components.append(component)
+        settle = getattr(component, "settle", None)
+        if settle is not None:
+            self._settles.append(settle)
         is_idle = getattr(component, "is_idle", None)
         if is_idle is None:
             self._never_idle += 1
@@ -280,6 +286,20 @@ class CycleSimulator:
         """
         self._fifos.append(fifo)
         return fifo
+
+    def settle(self) -> None:
+        """Make deferred flit-level state exact now.
+
+        A flat mesh core may advance a streaming wormhole message in
+        bulk (an express train, see :mod:`repro.noc.flatmesh`): its
+        frames, messages and timing are exact on every cycle, but flit
+        counters and FIFO contents only after ``settle``.  ``run`` and
+        ``run_until`` settle on return; a reader of flit-level state in
+        the middle of a run (a ``run_until`` condition, a component's
+        step) calls this first.
+        """
+        for settle in self._settles:
+            settle()
 
     # -- the one rule ---------------------------------------------------------
 
@@ -366,12 +386,15 @@ class CycleSimulator:
 
     def run(self, cycles: int) -> None:
         end = self.cycle + cycles
-        while self.cycle < end:
-            wake = self._next_wake_cycle()
-            if wake == self.cycle:
-                self.tick()
-            else:
-                self._skip_to(end if wake is None else min(wake, end))
+        try:
+            while self.cycle < end:
+                wake = self._next_wake_cycle()
+                if wake == self.cycle:
+                    self.tick()
+                else:
+                    self._skip_to(end if wake is None else min(wake, end))
+        finally:
+            self.settle()
 
     def run_until(
         self,
@@ -403,22 +426,26 @@ class CycleSimulator:
         limit = start + max_cycles
         deadline = (None if wall_clock_budget_s is None
                     else time.monotonic() + wall_clock_budget_s)
-        while not condition():
-            if self.cycle - start >= max_cycles:
-                raise TimeoutError(
-                    f"condition not met within {max_cycles} cycles"
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                raise WallClockBudgetExceeded(
-                    f"condition not met within {wall_clock_budget_s}s "
-                    f"of wall clock ({self.cycle - start} cycles run)"
-                )
-            wake = self._next_wake_cycle()
-            if wake == self.cycle:
-                self.tick()
-            else:
-                self._skip_to_condition(
-                    condition, limit if wake is None else min(wake, limit))
+        try:
+            while not condition():
+                if self.cycle - start >= max_cycles:
+                    raise TimeoutError(
+                        f"condition not met within {max_cycles} cycles"
+                    )
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise WallClockBudgetExceeded(
+                        f"condition not met within {wall_clock_budget_s}s "
+                        f"of wall clock ({self.cycle - start} cycles run)"
+                    )
+                wake = self._next_wake_cycle()
+                if wake == self.cycle:
+                    self.tick()
+                else:
+                    self._skip_to_condition(
+                        condition,
+                        limit if wake is None else min(wake, limit))
+        finally:
+            self.settle()
         return self.cycle - start
 
     def _skip_to_condition(

@@ -130,21 +130,28 @@ class HostProfiler:
 
         # Under the flat tile backend the core's batch step absorbs the
         # fast tiles' pump bodies, so their host time lands in the
-        # ``tiles_flat`` bucket; object-mode tiles (and every tile
-        # under the object backend) still hit the per-tile patches.
-        # A sharded design's ``ShardTileCores`` aggregate holds one
-        # stepping core per populated shard.
+        # ``tiles_flat`` bucket and only the object-mode tiles the core
+        # delegates to run their own ``_pump_*`` (every tile does under
+        # the object backend) — patching the rest would leave buckets
+        # that never count a call.  A sharded design's
+        # ``ShardTileCores`` aggregate holds one stepping core per
+        # populated shard.
         tile_core = getattr(design, "tile_core", None)
+        pumped = None  # ids of the tiles whose own pumps run
         if tile_core is not None:
+            pumped = set()
             for inner in getattr(tile_core, "cores", [tile_core]):
                 self._patch(inner, "step", "tiles_flat")
+                pumped.update(id(tile) for tile, fast
+                              in zip(inner.tiles, inner._fast) if not fast)
 
         tiles = design.tiles
         if isinstance(tiles, dict):
             tiles = tiles.values()
         for tile in tiles:
-            self._patch(tile, "_pump_eject", "tiles.pump_eject")
-            self._patch(tile, "_pump_process", "tiles.pump_process")
+            if pumped is None or id(tile) in pumped:
+                self._patch(tile, "_pump_eject", "tiles.pump_eject")
+                self._patch(tile, "_pump_process", "tiles.pump_process")
             self._patch(tile, "handle_message", "tiles.handle_message")
 
         self._patch_codecs()

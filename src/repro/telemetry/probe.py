@@ -162,6 +162,7 @@ class Probe:
         design = self.design
         registry = self.registry
         sim = design.sim
+        sim.settle()  # flit counters and FIFO depths exact from here
 
         kernel = sim.stats()
         self._inc_to("kernel.idle_cycles_skipped",

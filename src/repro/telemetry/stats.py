@@ -108,6 +108,9 @@ def design_counters(design: object) -> dict:
     zero rather than failing — a monitoring scrape must never take the
     design down.
     """
+    settle = getattr(getattr(design, "sim", None), "settle", None)
+    if settle is not None:
+        settle()  # express wormholes defer flit-level state
     tiles = []
     design_tiles = design.tiles
     if isinstance(design_tiles, dict):

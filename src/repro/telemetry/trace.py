@@ -299,6 +299,9 @@ def attach_tracer(design: object,
     """
     if tracer is None:
         tracer = Tracer()
+    # Live express trains would skip the flit events of their frozen
+    # cycles; trains never form while a recording tracer is attached.
+    design.sim.settle()
     design.sim.tracer = tracer
     for router in design.mesh.routers.values():
         router.tracer = tracer

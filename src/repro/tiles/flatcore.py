@@ -164,6 +164,11 @@ class FlatTileCore:
         self._timers: list[tuple[int, int]] = []
         self._index_of: dict[str, int] = {}
         self.by_kind: dict[str, list[int]] = {}
+        # Express wormholes (repro.noc.flatmesh): the train streaming
+        # into each tile, if any, and the last cycle stepped, which
+        # tells a thaw how many flits the tile would have popped.
+        self._inbound: list = []
+        self._stepped = -1
 
     # -- construction -------------------------------------------------------
 
@@ -188,6 +193,12 @@ class FlatTileCore:
             self._default_service[index],
         ))
         self._deadlines.append(-1)
+        self._inbound.append(None)
+        mesh_core = getattr(tile.port.router, "_core", None)
+        if mesh_core is not None and self._fast[index]:
+            # A fast tile pops one flit per cycle mid-message, which is
+            # what lets the flat mesh stream messages into it express.
+            mesh_core.add_express_dest(tile.port.router._index, self, index)
         self._busy |= bit
         self._index_of[tile.name] = index
         self.by_kind.setdefault(getattr(cls, "KIND", "generic"),
@@ -223,6 +234,7 @@ class FlatTileCore:
     # -- clocked behaviour --------------------------------------------------
 
     def step(self, cycle: int) -> None:
+        self._stepped = cycle
         timers = self._timers
         if timers and timers[0][0] <= cycle:
             deadlines = self._deadlines
@@ -285,6 +297,9 @@ class FlatTileCore:
                         tracer.buffer_level(cycle, t, t._buffered_flits)
             in_service = t._in_service
             if in_service is not None and cycle >= t._emit_at:
+                train = self._inbound[i]
+                if train is not None:
+                    train.sync_buffer(cycle)
                 t.messages_in += 1
                 t.bytes_in += len(in_service.data)
                 buffered = t._buffered_flits - in_service.n_flits

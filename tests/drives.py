@@ -1,8 +1,10 @@
-"""The two ways to drive a simulator, shared by the differential tests.
+"""The ways to drive a simulator, shared by the differential tests.
 
 ``run``/``run_until`` jump every span in which all components report
 idle; the per-cycle ``tick()`` loop never skips and is the reference
-that every skipping run must match bit for bit.
+that every skipping run must match bit for bit.  Likewise a flat mesh
+moves streaming messages as express trains; ``express(False)`` is the
+hop-by-hop reference.
 """
 
 from contextlib import contextmanager
@@ -32,3 +34,17 @@ def driven(drive):
         yield
     finally:
         CycleSimulator._next_wake_cycle = original
+
+
+@contextmanager
+def express(enabled):
+    """Under ``express(False)`` a flat mesh built in the block never
+    forms express trains (see repro.noc.flatmesh): every flit moves
+    hop by hop — the per-flit reference express runs must match."""
+    from repro.noc.flatmesh import FlatMeshCore
+    original = FlatMeshCore._express
+    FlatMeshCore._express = enabled
+    try:
+        yield
+    finally:
+        FlatMeshCore._express = original

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = ("DESIGN.md", "README.md", "docs/TUTORIAL.md", "EXPERIMENTS.md")
+DOCS = ("DESIGN.md", "README.md", "docs/TUTORIAL.md", "EXPERIMENTS.md",
+        "PAPER.md")
 # A name followed by "/" is a schema id (``repro.bench/1``), not code.
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+(?![\w/])")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.designs import FrameSink, UdpEchoDesign
+from repro.designs import FrameSink, FrameSource, UdpEchoDesign
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.telemetry import HostProfiler, profile_run
 
@@ -77,10 +77,10 @@ class TestAttribution:
         profiler, wall = profile_run(design, 2000)
         report = profiler.report()
         assert "kernel.tick" in report
-        assert "tiles.pump_process" in report
         assert "packet.codec" in report
-        # Flat backend is the default: the core's phases show up.
+        # Flat backends are the default: the cores' phases show up.
         assert "noc.flatmesh.step" in report
+        assert "tiles_flat" in report
         assert wall > 0
 
     def test_object_backend_buckets(self):
@@ -90,6 +90,33 @@ class TestAttribution:
         report = profiler.report()
         assert "noc.router.step" in report
         assert "noc.localport.step" in report
+
+    def test_object_tile_backend_pumps(self):
+        design = make_design(tile_backend="object")
+        drive(design)
+        profiler, _ = profile_run(design, 2000)
+        report = profiler.report()
+        assert report["tiles.pump_eject"]["calls"] > 0
+        assert report["tiles.pump_process"]["calls"] > 0
+
+    def test_flat_engines_have_no_dead_buckets(self):
+        """On the default flat engines every bucket counts calls (the
+        fast tiles' pumps are inlined, so they get no bucket), and the
+        buckets account for at least 95% of the run's wall clock."""
+        design = make_design()
+        frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
+                                     CLIENT_IP, design.server_ip, 5555,
+                                     7, bytes(1458))
+        design.sim.add(FrameSource(design.inject, lambda i: frame,
+                                   rate=None))
+        design.sim.add(FrameSink(design.eth_tx))
+        profiler, wall = profile_run(design, 6000)
+        report = profiler.report()
+        assert "tiles.pump_eject" not in report
+        assert {name: row["calls"] for name, row in report.items()
+                if not row["calls"]} == {}
+        covered = sum(row["self_s"] for row in report.values())
+        assert covered >= 0.95 * wall
 
     def test_sharded_design_buckets(self):
         # The sharded facades (gauge-only mesh core, per-shard tile
